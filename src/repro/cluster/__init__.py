@@ -41,9 +41,7 @@ from repro.cluster.client import (
 from repro.cluster.coordinator import ClusterTask, Coordinator, CoordinatorThread
 from repro.cluster.protocol import (
     DEFAULT_PORT,
-    decode_result,
     decode_spec,
-    encode_result,
     encode_spec,
     format_address,
     parse_address,
@@ -59,9 +57,7 @@ __all__ = [
     "ClusterWorker",
     "Coordinator",
     "CoordinatorThread",
-    "decode_result",
     "decode_spec",
-    "encode_result",
     "encode_spec",
     "format_address",
     "parse_address",

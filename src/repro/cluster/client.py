@@ -33,14 +33,9 @@ from dataclasses import dataclass, field
 
 from repro import netio, telemetry
 from repro.netio import call
-from repro.cluster.protocol import (
-    decode_result_payload,
-    encode_spec,
-    parse_address,
-    persist_result,
-)
+from repro.cluster.protocol import encode_spec, parse_address, persist_result
 from repro.engine import cache
-from repro.engine.runner import RunResult, RunSpec
+from repro.engine.runner import RunResult, RunSpec, result_from_tree
 
 __all__ = ["ClusterJobError", "ClusterJob", "ClusterClient", "run_specs_via_cluster"]
 
@@ -184,7 +179,7 @@ class ClusterClient:
         )
         collected = []
         for entry in answer["results"]:
-            result = decode_result_payload(entry["result"])
+            result = result_from_tree(entry["result"])
             result.cached = bool(entry.get("cached", False))
             collected.append((int(entry["task_id"]), result))
         return collected

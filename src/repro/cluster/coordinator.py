@@ -18,8 +18,8 @@ Op set (JSON lines or v2 binary frames, answered in kind; see
 ``lease``           pop one queued task (or ``task: null``;
                     ``shutdown: true`` once the coordinator drains)
 ``heartbeat``       renew the lease on a running task
-``complete``        deliver a finished result (base64 pickle over v1,
-                    typed array frames over v2); the answer may ask
+``complete``        deliver a finished result (the JSON result tree,
+                    on either framing); the answer may ask
                     ``want_checkpoint: true`` when the cell trained a
                     model the coordinator's cache lacks
 ``put_checkpoint``  upload a trained cell's checkpoint bytes (the
@@ -64,15 +64,9 @@ from collections import deque
 from dataclasses import dataclass, field
 
 from repro import netio, telemetry
-from repro.cluster.protocol import (
-    decode_result_payload,
-    decode_spec,
-    encode_result,
-    encode_result_frames,
-    persist_result,
-)
+from repro.cluster.protocol import decode_spec, persist_result
 from repro.engine import cache
-from repro.engine.runner import RunResult, spec_summary
+from repro.engine.runner import RunResult, result_from_tree, result_to_tree
 
 __all__ = ["ClusterTask", "Coordinator", "CoordinatorThread"]
 
@@ -92,9 +86,7 @@ class ClusterTask:
     deadline: float = 0.0
     leased_at: float = 0.0  # monotonic time of the current lease grant
     #: The decoded result (held until every interested job collected
-    #: it).  Stored as an object, not wire text: collect re-encodes per
-    #: collecting client's protocol, so a v1 client and a v2 client can
-    #: drain the same job.
+    #: it); decoded on ``complete`` so a malformed tree is refused there.
     result: RunResult | None = None
     cached: bool = False  # the executing worker's cache served it
     error: str | None = None
@@ -380,7 +372,7 @@ class Coordinator:
         if task.state == "done":
             return {"ok": True, "duplicate": True}  # late double-execution
         try:
-            task.result = decode_result_payload(message["result"])
+            task.result = result_from_tree(message["result"])
         except Exception as error:
             return {"ok": False, "error": f"undecodable result: {error}"}
         task.cached = bool(message.get("cached", False))
@@ -624,9 +616,8 @@ class Coordinator:
         if task.checkpoint and not cache.checkpoint_path(task.key).exists():
             return False  # same rule as run_one: result without model recomputes
         hit = cache.load(task.key)
-        if not isinstance(hit, RunResult):
+        if hit is None:
             return False
-        hit.cached = True
         task.result = hit
         task.cached = True
         task.state = "done"
@@ -686,18 +677,10 @@ class Coordinator:
                 and task_id not in emitted
             ):
                 emitted.add(task_id)
-                # Re-encode per the *collecting* client's wire: typed
-                # array frames for binary peers, base64 pickle for JSON
-                # lines — the same stored object serves a mixed fleet.
-                encoded = (
-                    encode_result_frames(task.result)
-                    if proto >= 2
-                    else encode_result(task.result)
-                )
                 fresh.append(
                     {
                         "task_id": task_id,
-                        "result": encoded,
+                        "result": result_to_tree(task.result),
                         "cached": task.cached,
                     }
                 )

@@ -13,22 +13,14 @@ the framing lives in :mod:`repro.netio`).  This module owns what goes
   are *names into the registries* (method, scenario, profile), so the
   wire form is small and human-readable, and both ends resolve it
   against their own registry state.
-* :func:`encode_result` / :func:`decode_result` — a finished
-  :class:`~repro.engine.runner.RunResult` as base64-wrapped pickle
-  bytes (the v1 JSON-line form).  Results carry NumPy accuracy
-  matrices; pickling round-trips them *bitwise*, which the determinism
-  contract (cluster == serial, cell for cell) depends on.  Pickle
-  implies trust: a cluster's coordinator and workers must only accept
-  connections from machines you control — the same assumption every
-  shared-filesystem cache deployment already makes, since cache
-  entries are pickles too.
-* :func:`encode_result_frames` / :func:`decode_result_frames` — the
-  same result as a *typed* plain tree whose arrays stay ndarrays, for
-  the v2 binary wire (:mod:`repro.netio` frames ship the arrays as
-  raw dtype-tagged buffers: zero base64, zero pickle, still bitwise —
-  floats that must cross as JSON use ``repr`` shortest round-trip).
-  :func:`decode_result_payload` accepts either form, so a coordinator
-  serves mixed v1/v2 fleets from one code path.
+* :func:`persist_result` — the one step both ends of the wire run to
+  write a delivered result into the local cache.
+
+Finished results travel as the JSON tree of
+:func:`~repro.engine.runner.result_to_tree` on both framings, the same
+tree the disk cache stores; :func:`~repro.engine.runner.result_from_tree`
+checks its sizes before building anything, so a peer's bytes are never
+unpickled and a malformed tree is refused with a :class:`ValueError`.
 
 Every message carries an ``op`` field; the coordinator's op set is
 documented in :mod:`repro.cluster.coordinator`.
@@ -44,16 +36,9 @@ the submitting client's trace id.
 
 from __future__ import annotations
 
-import base64
 import os
-import pickle
 from contextlib import contextmanager
 
-import numpy as np
-
-from repro.continual.evaluator import ContinualResult
-from repro.continual.metrics import RMatrix
-from repro.continual.scenario import Scenario
 from repro.engine import cache
 from repro.engine.runner import RunResult, RunSpec, spec_summary
 
@@ -66,11 +51,6 @@ __all__ = [
     "decode_spec",
     "spec_unlocks",
     "apply_unlocks",
-    "encode_result",
-    "decode_result",
-    "encode_result_frames",
-    "decode_result_frames",
-    "decode_result_payload",
     "persist_result",
 ]
 
@@ -231,100 +211,3 @@ def persist_result(spec: RunSpec, key: str | None, result: RunResult) -> None:
     if key is None or not cache.cache_enabled() or cache.contains(key):
         return
     cache.store(key, result, meta=spec_summary(spec))
-
-
-def encode_result(result: RunResult) -> str:
-    """A finished :class:`RunResult` as base64 pickle text (bit-exact)."""
-    return base64.b64encode(
-        pickle.dumps(result, protocol=pickle.HIGHEST_PROTOCOL)
-    ).decode("ascii")
-
-
-def decode_result(text: str) -> RunResult:
-    """Inverse of :func:`encode_result` (trusted peers only — see module doc)."""
-    result = pickle.loads(base64.b64decode(text.encode("ascii")))
-    if not isinstance(result, RunResult):
-        raise TypeError(f"decoded object is {type(result).__name__}, not RunResult")
-    return result
-
-
-#: Format tag of the typed result tree, bumped if the layout changes.
-_RESULT_FORMAT = "repro.cluster/result-v2"
-
-
-def encode_result_frames(result: RunResult) -> dict:
-    """A finished :class:`RunResult` as a typed tree with live ndarrays.
-
-    The v2 wire form: the frame layer (:func:`repro.netio.build_frame`)
-    lifts every ndarray leaf — R-matrices, per-task history rows — into
-    a raw dtype-tagged buffer, so nothing here is pickled or base64d.
-    Scalars cross as JSON numbers, which is still exact: Python floats
-    serialize via ``repr`` (shortest round-trip) and parse back to the
-    identical double.  ``cached`` is deliberately not carried — it is
-    delivery-local state, set by the receiving side, exactly like the
-    pickle path.
-    """
-    return {
-        "format": _RESULT_FORMAT,
-        "method": result.method,
-        "scenario": result.scenario,
-        "stream_name": result.stream_name,
-        "seed": int(result.seed),
-        "elapsed": float(result.elapsed),
-        "results": [
-            {
-                "scenario": scenario.value,
-                "method": continual.method,
-                "stream": continual.stream,
-                "num_tasks": int(continual.r_matrix.num_tasks),
-                "r_values": continual.r_matrix.values,
-                "history": [dict(entry) for entry in continual.history],
-            }
-            for scenario, continual in result.results.items()
-        ],
-        "static_acc": {
-            scenario.value: float(value) for scenario, value in result.static_acc.items()
-        },
-    }
-
-
-def decode_result_frames(payload: dict) -> RunResult:
-    """Inverse of :func:`encode_result_frames` (buffer-resolved tree in)."""
-    if payload.get("format") != _RESULT_FORMAT:
-        raise ValueError(f"unknown result format {payload.get('format')!r}")
-    results: dict[Scenario, ContinualResult] = {}
-    for entry in payload.get("results") or ():
-        scenario = Scenario.parse(entry["scenario"])
-        r_matrix = RMatrix(int(entry["num_tasks"]))
-        values = np.asarray(entry["r_values"], dtype=np.float64)
-        # Copy: frame buffers may alias read-only wire memory, and the
-        # matrix must stay shaped exactly like a locally-built one.
-        r_matrix.values = values.reshape(r_matrix.values.shape).copy()
-        results[scenario] = ContinualResult(
-            method=str(entry["method"]),
-            stream=str(entry["stream"]),
-            scenario=scenario,
-            r_matrix=r_matrix,
-            history=[dict(item) for item in entry.get("history") or ()],
-        )
-    return RunResult(
-        method=str(payload["method"]),
-        scenario=str(payload["scenario"]),
-        stream_name=str(payload["stream_name"]),
-        seed=int(payload["seed"]),
-        results=results,
-        static_acc={
-            Scenario.parse(name): float(value)
-            for name, value in (payload.get("static_acc") or {}).items()
-        },
-        elapsed=float(payload["elapsed"]),
-    )
-
-
-def decode_result_payload(value) -> RunResult:
-    """Decode a wire result in either form: v1 pickle text or v2 tree."""
-    if isinstance(value, str):
-        return decode_result(value)
-    if isinstance(value, dict):
-        return decode_result_frames(value)
-    raise TypeError(f"cannot decode a result from {type(value).__name__}")

@@ -27,9 +27,9 @@ whose ``lease`` answer carries ``shutdown: true``.
 
 Wire: the ``hello`` answer advertises the coordinator's protocol; a
 worker that learns ``proto: 2`` switches every subsequent op to
-binary frames (results as typed array buffers, checkpoints as raw
-bytes), while against an old coordinator — or under a forced
-``REPRO_WIRE=json`` — everything stays JSON lines.  When a cell
+binary frames (checkpoints as raw bytes; results are the same JSON
+tree on either framing), while against an old coordinator — or under
+a forced ``REPRO_WIRE=json`` — everything stays JSON lines.  When a cell
 trained a model the coordinator's cache lacks, the ``complete``
 answer asks ``want_checkpoint: true`` and the worker uploads the
 checkpoint file via ``put_checkpoint`` — the training-direction
@@ -51,13 +51,11 @@ from repro.netio import call
 from repro.cluster.protocol import (
     apply_unlocks,
     decode_spec,
-    encode_result,
-    encode_result_frames,
     parse_address,
     spec_unlocks,
 )
 from repro.engine import cache
-from repro.engine.runner import run_one, spec_summary
+from repro.engine.runner import result_to_tree, run_one, spec_summary
 
 __all__ = ["ClusterWorker"]
 
@@ -250,9 +248,7 @@ class ClusterWorker:
                 "op": "complete",
                 "worker_id": self.worker_id,
                 "task_id": task_id,
-                "result": encode_result_frames(result)
-                if self.proto >= 2
-                else encode_result(result),
+                "result": result_to_tree(result),
                 "cached": bool(result.cached),
             }
         )

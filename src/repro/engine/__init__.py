@@ -17,21 +17,13 @@ underneath (``REPRO_CACHE_DIR`` / ``REPRO_NO_CACHE``), with a
 management layer (``stats`` / ``inspect`` / ``evict`` / ``verify`` /
 ``pin``) surfaced through the CLI's ``cache-*`` subcommands.
 
-.. deprecated:: 0.3
-   The free-function entry points re-exported here (``run_one``,
-   ``run_pair_cells``, ``spec_for``, ``run_seed_sweep``, ...) are
-   deprecated in favor of the :class:`repro.api.Session` facade, which
-   owns cache/profile/executor configuration once instead of
-   threading it through every call.  They keep working — each access
-   emits a :class:`DeprecationWarning` and forwards to the unchanged
-   implementation.  The *types* (:class:`RunSpec`,
-   :class:`RunResult`, ...), the registries and :mod:`~repro.engine.
-   cache` are not deprecated; they are the vocabulary both surfaces
-   share.
+The free functions (``run_one``, ``run_specs``, ``run_seed_sweep``,
+...) live in their home modules; the :class:`repro.api.Session` facade
+is the supported entry point, owning cache/profile/executor
+configuration once.  The *types* (:class:`RunSpec`, :class:`RunResult`,
+...), the registries and :mod:`~repro.engine.cache` exported here are
+the vocabulary both share.
 """
-
-import importlib
-import warnings
 
 from repro.engine.registry import (
     METHODS,
@@ -55,24 +47,6 @@ from repro.engine.executor import (
 )
 from repro.engine import cache
 
-#: Deprecated free functions: name -> (home module, Session replacement).
-_DEPRECATED = {
-    "run_one": ("repro.engine.runner", "Session.execute([spec])"),
-    "run_pair_cells": ("repro.engine.runner", "Session.pair(...)"),
-    "run_stream_pair": ("repro.engine.runner", "Session (ad-hoc streams: repro.experiments.common.run_pair)"),
-    "run_method_on_stream": ("repro.engine.runner", "Session.execute(...)"),
-    "spec_for": ("repro.engine.runner", "Session.spec(method, scenario, ...)"),
-    "checkpoint_path": ("repro.engine.runner", "Session.has_checkpoint(spec)"),
-    "has_checkpoint": ("repro.engine.runner", "Session.has_checkpoint(spec)"),
-    "load_checkpoint": ("repro.engine.runner", "Session.load_model(spec)"),
-    "run_specs": ("repro.engine.executor", "Session.execute(specs)"),
-    "run_seed_cells": ("repro.engine.executor", "Session.sweep(spec, seeds)"),
-    "run_seed_sweep": ("repro.engine.executor", "Session.sweep(spec, seeds)"),
-    "run_seed_batch": ("repro.engine.seed_batch", "Session.sweep(spec, seeds, batched=True)"),
-    "map_jobs": ("repro.engine.executor", "Session.execute(specs)"),
-    "derive_seeds": ("repro.engine.executor", "session.run(...).seeds(n, independent=True)"),
-}
-
 __all__ = [
     "METHODS",
     "SCENARIOS",
@@ -91,31 +65,4 @@ __all__ = [
     "MultiSeedResult",
     "SeedStatistics",
     "cache",
-    *sorted(_DEPRECATED),
 ]
-
-
-def __getattr__(name: str):
-    """Serve the deprecated entry points, warning on every lookup.
-
-    ``from repro.engine import run_one`` (and attribute access) lands
-    here because the names are intentionally not bound at module
-    level; the returned object is the real implementation, so old call
-    sites behave identically apart from the warning.
-    """
-    try:
-        home, replacement = _DEPRECATED[name]
-    except KeyError:
-        raise AttributeError(f"module 'repro.engine' has no attribute {name!r}") from None
-    warnings.warn(
-        f"repro.engine.{name} is deprecated; use {replacement} on a "
-        "repro.api.Session (the repro.engine re-export will be removed "
-        "in a future release)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return getattr(importlib.import_module(home), name)
-
-
-def __dir__():
-    return sorted(set(__all__) | set(globals()))

@@ -11,7 +11,8 @@ instead of minutes of redundant CPU.
 Layout: up to three files per entry under ``$REPRO_CACHE_DIR``
 (default ``~/.cache/repro-engine``):
 
-* ``<sha256[:32]>.pkl`` — the pickled :class:`RunResult` (the metrics);
+* ``<sha256[:32]>.result.json`` — the :class:`RunResult` (the metrics)
+  as the JSON tree of :func:`~repro.engine.runner.result_to_tree`;
 * ``<sha256[:32]>.json`` — the manifest sidecar (creation time plus
   the spec summary the management commands filter on);
 * ``<sha256[:32]>.ckpt.npz`` — the trained model state, present only
@@ -43,12 +44,10 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import pickle
 import tempfile
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any
 
 __all__ = [
     "CACHE_VERSION",
@@ -59,6 +58,7 @@ __all__ = [
     "checkpoint_path",
     "contains",
     "load",
+    "read_result",
     "store",
     "clear",
     "manifest",
@@ -77,8 +77,15 @@ __all__ = [
 #: Bump on any change that alters run results for an unchanged spec, or
 #: that changes the on-disk entry format (v2: manifest sidecars and
 #: optional checkpoints next to each result; v3: profiles carry a
-#: compute dtype — float32 default — and cells run under it).
-CACHE_VERSION = 3
+#: compute dtype — float32 default — and cells run under it; v4: the
+#: result is a JSON tree, no longer a pickle).
+CACHE_VERSION = 4
+
+#: File name suffixes of an entry: ``<key><suffix>``.  Keys hold no dots,
+#: which is what tells a sidecar from a result in a ``*.json`` glob.
+_RESULT = ".result.json"
+_SIDECAR = ".json"
+_CHECKPOINT = ".ckpt.npz"
 
 _ENV_DIR = "REPRO_CACHE_DIR"
 _ENV_DISABLE = "REPRO_NO_CACHE"
@@ -157,45 +164,61 @@ def cache_key(payload: dict) -> str:
 
 
 def _path_for(key: str) -> Path:
-    return cache_dir() / f"{key}.pkl"
+    return cache_dir() / f"{key}{_RESULT}"
 
 
 def _meta_path_for(key: str) -> Path:
-    return cache_dir() / f"{key}.json"
+    return cache_dir() / f"{key}{_SIDECAR}"
 
 
 def checkpoint_path(key: str) -> Path:
     """Where a cell's trained-model checkpoint lives (may not exist)."""
-    return cache_dir() / f"{key}.ckpt.npz"
+    return cache_dir() / f"{key}{_CHECKPOINT}"
+
+
+def _files(directory: Path, suffix: str) -> list[tuple[str, Path]]:
+    """``(key, path)`` of every ``<key><suffix>`` file in ``directory``."""
+    found = []
+    for path in directory.glob(f"*{suffix}"):
+        key = path.name[: -len(suffix)]
+        if "." not in key:
+            found.append((key, path))
+    return found
+
+
+def read_result(path: Path):
+    """Decode one result file; raises on a missing, torn or foreign file.
+
+    A plain read: no LRU touch, no traffic counter.
+    """
+    from repro.engine.runner import result_from_tree
+
+    return result_from_tree(json.loads(path.read_bytes()))
 
 
 def contains(key: str) -> bool:
     """True when a result entry for ``key`` is on disk.
 
-    A pure existence probe: no unpickle, no LRU touch, no traffic
+    A pure existence probe: no decode, no LRU touch, no traffic
     counter — the check the cluster layer uses to decide whether a
     wire-delivered result still needs persisting.
     """
     return _path_for(key).exists()
 
 
-def load(key: str) -> Any | None:
-    """Return the cached object for ``key``, or None on miss/corruption.
+def load(key: str):
+    """Return the cached :class:`RunResult` for ``key``, or None on miss/corruption.
 
-    A successful read bumps the entry's mtime so LRU eviction sees it
-    as recently used.
+    A hit comes back with ``cached`` set, and bumps the entry's mtime so
+    LRU eviction sees it as recently used.
     """
     path = _path_for(key)
-    if not path.exists():
-        _SESSION["misses"] += 1
-        return None
     try:
-        with path.open("rb") as handle:
-            obj = pickle.load(handle)
+        result = read_result(path)
     except Exception:
-        # A torn write, a stale class layout, a renamed module: whatever
-        # went wrong, a cache read must never crash the run — treat it
-        # as a miss and let the fresh result overwrite the entry.
+        # Absent, torn or from a foreign layout: a cache read must never
+        # crash the run — treat it as a miss and let the fresh result
+        # overwrite the entry.
         _SESSION["misses"] += 1
         return None
     _SESSION["hits"] += 1
@@ -203,25 +226,29 @@ def load(key: str) -> Any | None:
         os.utime(path)
     except OSError:
         pass  # read-only cache mounts still serve hits
-    return obj
+    result.cached = True
+    return result
 
 
-def store(key: str, obj: Any, meta: dict | None = None) -> Path:
-    """Atomically persist ``obj`` under ``key``; returns the file path.
+def store(key: str, result, meta: dict | None = None) -> Path:
+    """Atomically persist a :class:`RunResult` under ``key``; returns the file path.
 
     ``meta`` (JSON-safe, typically the spec summary) is written to the
     entry's manifest sidecar so the management commands can report and
-    filter without unpickling results.
+    filter without decoding results.
     """
+    from repro.engine.runner import result_to_tree
+
     directory = cache_dir()
     directory.mkdir(parents=True, exist_ok=True)
     path = _path_for(key)
-    _atomic_write(path, lambda handle: pickle.dump(obj, handle, protocol=pickle.HIGHEST_PROTOCOL))
+    payload = json.dumps(result_to_tree(result)).encode()
+    _atomic_write(path, lambda handle: handle.write(payload))
     sidecar = {"created": time.time(), "spec": dict(meta or {})}
     payload = json.dumps(sidecar, sort_keys=True).encode()
     _atomic_write(_meta_path_for(key), lambda handle: handle.write(payload))
     _SESSION["stores"] += 1
-    _sync_store("store", key, obj=obj, meta=meta)
+    _sync_store("store", key, result=result, meta=meta)
     return path
 
 
@@ -266,15 +293,16 @@ def clear() -> int:
     if not directory.exists():
         return 0
     removed = 0
-    # .tmp: torn writes from killed workers.  Sidecars and checkpoints
-    # are bookkeeping, not entries — delete but don't count them.
-    for path in directory.glob("*.pkl"):
+    # .tmp: torn writes from killed workers; .pkl: results of cache
+    # version 3 and older.  Sidecars and checkpoints are bookkeeping,
+    # not entries — delete but don't count them.
+    for _key, path in _files(directory, _RESULT):
         try:
             path.unlink()
             removed += 1
         except OSError:
             pass
-    for pattern in ("*.json", "*.ckpt.npz", "*.tmp"):
+    for pattern in ("*.json", "*.ckpt.npz", "*.tmp", "*.pkl"):
         for path in directory.glob(pattern):
             try:
                 path.unlink()
@@ -320,18 +348,17 @@ def manifest() -> list[CacheEntry]:
         return []
     entries = []
     seen = set()
-    for path in directory.glob("*.pkl"):
+    for key, path in _files(directory, _RESULT):
         try:
             result_stat = path.stat()
         except OSError:
             continue  # evicted between glob and stat
-        seen.add(path.stem)
-        entries.append(_build_entry(path.stem, result_stat))
+        seen.add(key)
+        entries.append(_build_entry(key, result_stat))
     # Checkpoint-only entries (result lost to corruption, checkpoint
     # preserved by ``verify(repair=True)``) still occupy disk; list them
     # so stats/evict govern their volume too.
-    for path in directory.glob("*.ckpt.npz"):
-        key = path.name[: -len(".ckpt.npz")]
+    for key, path in _files(directory, _CHECKPOINT):
         if key in seen or not _meta_path_for(key).exists():
             continue
         try:
@@ -413,34 +440,28 @@ def inspect(key: str) -> dict:
         "last_used": entry.last_used,
         "spec": entry.spec,
     }
-    # Read the pickle directly, NOT through load(): inspecting an entry
+    # Read the file directly, NOT through load(): inspecting an entry
     # must neither bump its LRU position nor count as cache traffic.
     try:
-        with path.open("rb") as handle:
-            result = pickle.load(handle)
+        result = read_result(path)
     except Exception:
-        result = None
-    if result is None:
         report["result"] = None  # corrupt — verify() will flag it
         return report
-    summary = {"type": type(result).__name__}
-    for attr in ("method", "scenario", "stream_name", "seed", "elapsed"):
-        if hasattr(result, attr):
-            summary[attr] = getattr(result, attr)
-    results = getattr(result, "results", None)
-    if isinstance(results, dict):
-        summary["metrics"] = {
-            getattr(scenario, "value", str(scenario)): {
-                "acc": run.acc,
-                "fgt": run.fgt,
-            }
-            for scenario, run in results.items()
-        }
-    static_acc = getattr(result, "static_acc", None)
-    if static_acc:
+    summary = {
+        "type": type(result).__name__,
+        "method": result.method,
+        "scenario": result.scenario,
+        "stream_name": result.stream_name,
+        "seed": result.seed,
+        "elapsed": result.elapsed,
+        "metrics": {
+            scenario.value: {"acc": run.acc, "fgt": run.fgt}
+            for scenario, run in result.results.items()
+        },
+    }
+    if result.static_acc:
         summary["static_acc"] = {
-            getattr(scenario, "value", str(scenario)): acc
-            for scenario, acc in static_acc.items()
+            scenario.value: acc for scenario, acc in result.static_acc.items()
         }
     report["result"] = summary
     return report
@@ -508,7 +529,7 @@ def verify(repair: bool = False) -> dict:
 
     Reports (and with ``repair=True`` deletes):
 
-    * ``corrupt`` — result files that fail to unpickle.  Repair removes
+    * ``corrupt`` — result files that fail to decode.  Repair removes
       the unreadable result but *preserves* the entry's checkpoint (and
       its sidecar): the checkpoint holds hours of training, is written
       atomically (so a torn result does not imply a torn checkpoint),
@@ -517,7 +538,9 @@ def verify(repair: bool = False) -> dict:
       :func:`manifest`, evictable like any other.
     * ``orphaned`` — sidecars and checkpoints whose entry is otherwise
       gone (a checkpoint with a sidecar is a checkpoint-only entry, not
-      an orphan), and leftover ``.tmp`` files from killed workers.
+      an orphan), leftover ``.tmp`` files from killed workers, and
+      ``.pkl`` results of the pre-JSON layout (cache version 3 and
+      older), which no key reaches any more.
 
     Returns ``{"entries": total, "ok": n, "corrupt": [...],
     "orphaned": [...], "repaired": bool}`` with file names in the lists.
@@ -527,37 +550,33 @@ def verify(repair: bool = False) -> dict:
     if not directory.exists():
         return report
     keys = set()
-    for path in directory.glob("*.pkl"):
-        keys.add(path.stem)
+    for key, path in _files(directory, _RESULT):
+        keys.add(key)
         report["entries"] += 1
         try:
-            with path.open("rb") as handle:
-                pickle.load(handle)
+            read_result(path)
             report["ok"] += 1
         except Exception:
             report["corrupt"].append(path.name)
             if repair:
-                if checkpoint_path(path.stem).exists():
+                if checkpoint_path(key).exists():
                     _unlink_quiet(path)  # keep checkpoint + sidecar
-                    _sync_store("demote", path.stem)
+                    _sync_store("demote", key)
                 else:
-                    _delete_entry(path.stem)
-                keys.discard(path.stem)
+                    _delete_entry(key)
+                keys.discard(key)
 
-    def _ckpt_key(path: Path) -> str:
-        return path.name[: -len(".ckpt.npz")]
-
-    for path in directory.glob("*.json"):
-        if path.stem not in keys and not checkpoint_path(path.stem).exists():
-            report["orphaned"].append(path.name)
-            if repair:
-                _unlink_quiet(path)
-    for path in directory.glob("*.ckpt.npz"):
-        key = _ckpt_key(path)
+    orphans = list(directory.glob("*.pkl"))
+    for key, path in _files(directory, _SIDECAR):
+        if key not in keys and not checkpoint_path(key).exists():
+            orphans.append(path)
+    for key, path in _files(directory, _CHECKPOINT):
         if key not in keys and not _meta_path_for(key).exists():
-            report["orphaned"].append(path.name)
-            if repair:
-                _unlink_quiet(path)
+            orphans.append(path)
+    for path in orphans:
+        report["orphaned"].append(path.name)
+        if repair:
+            _unlink_quiet(path)
     for path in directory.glob("*.tmp"):
         # A fresh tmp file is most likely a concurrent worker mid-write;
         # only age qualifies it as the debris of a killed run.  Racing
@@ -592,7 +611,7 @@ def _delete_entry(key: str) -> None:
     _sync_store("evict", key)
 
 
-def _sync_store(event: str, key: str, obj: Any = None, meta: dict | None = None) -> None:
+def _sync_store(event: str, key: str, result=None, meta: dict | None = None) -> None:
     """Write-through to the run store index (``repro.store``).
 
     The store is an observer: a locked, corrupt, or read-only
@@ -603,7 +622,7 @@ def _sync_store(event: str, key: str, obj: Any = None, meta: dict | None = None)
     try:
         from repro.store import sync_cache_event
 
-        sync_cache_event(event, key, obj=obj, meta=meta)
+        sync_cache_event(event, key, result=result, meta=meta)
     except Exception:
         pass
 

@@ -180,8 +180,7 @@ def resolve_cache_hits(
             key = spec.cache_key()
             if not checkpoint or cache.checkpoint_path(key).exists():
                 hit = cache.load(key)
-                if isinstance(hit, RunResult):
-                    hit.cached = True
+                if hit is not None:
                     telemetry.registry.counter("engine.cache_hits").inc()
                     results[index] = hit
                     if progress is not None:

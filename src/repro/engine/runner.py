@@ -32,6 +32,7 @@ from repro import telemetry
 from repro.autograd import default_dtype
 from repro.continual import (
     ContinualResult,
+    RMatrix,
     Scenario,
     TaskStream,
     evaluate_task_multi,
@@ -51,6 +52,8 @@ __all__ = [
     "has_checkpoint",
     "load_checkpoint",
     "pair_specs",
+    "result_from_tree",
+    "result_to_tree",
     "run_one",
     "run_pair_cells",
     "run_stream_pair",
@@ -139,6 +142,102 @@ class RunResult:
         return bool(self.static_acc) and not self.results
 
 
+#: Format tag of the :func:`result_to_tree` layout, bumped if it changes.
+_RESULT_FORMAT = "repro/result-v3"
+
+
+def result_to_tree(result: RunResult) -> dict:
+    """A :class:`RunResult` as a JSON-safe tree — the one result codec.
+
+    The disk cache writes it as a JSON file and the cluster sends it on
+    both wire framings.  R-matrices and history rows become nested
+    float lists: Python floats serialize via ``repr`` (shortest
+    round-trip) and NaN survives :mod:`json`, so :func:`result_from_tree`
+    rebuilds the result bitwise.  ``cached`` is delivery-local state and
+    is not carried.
+    """
+    return {
+        "format": _RESULT_FORMAT,
+        "method": result.method,
+        "scenario": result.scenario,
+        "stream_name": result.stream_name,
+        "seed": int(result.seed),
+        "elapsed": float(result.elapsed),
+        "results": [
+            {
+                "scenario": scenario.value,
+                "method": run.method,
+                "stream": run.stream,
+                "num_tasks": run.r_matrix.num_tasks,
+                "r_values": run.r_matrix.values.tolist(),
+                "history": [
+                    {"task_id": int(entry["task_id"]), "row": entry["row"].tolist()}
+                    for entry in run.history
+                ],
+            }
+            for scenario, run in result.results.items()
+        ],
+        "static_acc": {scenario.value: float(acc) for scenario, acc in result.static_acc.items()},
+    }
+
+
+def result_from_tree(tree) -> RunResult:
+    """Inverse of :func:`result_to_tree`; :class:`ValueError` on a bad tree.
+
+    Every R-matrix must hold exactly ``num_tasks**2`` floats and every
+    history row ``num_tasks``, checked before any array is built, so a
+    small tree cannot make the reader allocate a large matrix.
+    """
+    if not isinstance(tree, dict) or tree.get("format") != _RESULT_FORMAT:
+        raise ValueError(f"not a {_RESULT_FORMAT} tree")
+    try:
+        results: dict[Scenario, ContinualResult] = {}
+        for entry in tree["results"]:
+            scenario = Scenario.parse(entry["scenario"])
+            num_tasks = entry["num_tasks"]
+            values = _floats(entry["r_values"], (num_tasks, num_tasks))
+            r_matrix = RMatrix(num_tasks)
+            r_matrix.values = values
+            results[scenario] = ContinualResult(
+                method=str(entry["method"]),
+                stream=str(entry["stream"]),
+                scenario=scenario,
+                r_matrix=r_matrix,
+                history=[
+                    {"task_id": int(item["task_id"]), "row": _floats(item["row"], (num_tasks,))}
+                    for item in entry["history"]
+                ],
+            )
+        return RunResult(
+            method=str(tree["method"]),
+            scenario=str(tree["scenario"]),
+            stream_name=str(tree["stream_name"]),
+            seed=int(tree["seed"]),
+            results=results,
+            static_acc={
+                Scenario.parse(name): float(acc) for name, acc in tree["static_acc"].items()
+            },
+            elapsed=float(tree["elapsed"]),
+        )
+    except (KeyError, TypeError, AttributeError, OverflowError) as error:
+        raise ValueError(f"malformed result tree: {error!r}") from None
+
+
+def _floats(value, shape: tuple[int, ...]) -> np.ndarray:
+    """Nested lists of exactly ``shape`` floats as a float64 array."""
+
+    def fits(node, dims) -> bool:
+        if not isinstance(node, list) or len(node) != dims[0]:
+            return False
+        if len(dims) == 1:
+            return all(isinstance(item, float) for item in node)
+        return all(fits(child, dims[1:]) for child in node)
+
+    if not fits(value, shape):
+        raise ValueError(f"result tree does not hold {shape} floats where expected")
+    return np.array(value, dtype=np.float64)
+
+
 @dataclass
 class PairResult:
     """All scores for one (source -> target) benchmark pair."""
@@ -214,8 +313,7 @@ def run_one(
     # count as a session hit and bump the entry's LRU position.
     if key is not None and (not checkpoint or cache.checkpoint_path(key).exists()):
         hit = cache.load(key)
-        if isinstance(hit, RunResult):
-            hit.cached = True
+        if hit is not None:
             telemetry.registry.counter("engine.cache_hits").inc()
             return hit
     profile = spec.resolved_profile()
@@ -289,10 +387,6 @@ def spec_summary(spec: RunSpec) -> dict:
         "method_overrides": dict(spec.method_overrides),
         "scenario_params": dict(spec.scenario_params),
     }
-
-
-# Backwards-compatible private alias (pre-store name).
-_spec_summary = spec_summary
 
 
 def _save_checkpoint(method, stream: TaskStream, key: str) -> None:

@@ -47,7 +47,7 @@ from repro.continual.evaluator import ContinualResult, _scenario_accuracy, evalu
 from repro.continual.metrics import RMatrix
 from repro.engine import cache
 from repro.engine.registry import METHODS, SCENARIOS
-from repro.engine.runner import RunResult, RunSpec, _save_checkpoint, _spec_summary
+from repro.engine.runner import RunResult, RunSpec, _save_checkpoint, spec_summary
 from repro.nn.ensemble import (
     EConv2d,
     EFeedForward,
@@ -915,7 +915,7 @@ def run_seed_batch(
                 key = sub_spec.cache_key()
                 if checkpoint:
                     _save_checkpoint(methods[i], streams[i], key)
-                cache.store(key, result, meta=_spec_summary(sub_spec))
+                cache.store(key, result, meta=spec_summary(sub_spec))
             cells.append(result)
     telemetry.registry.counter("engine.cells_trained").inc(len(seeds))
     for sub_spec in specs:

@@ -104,7 +104,7 @@ def run_pair(
     """Score every method on one explicitly built stream (uncached).
 
     Registry-named scenarios should go through
-    :func:`repro.engine.run_pair_cells` instead, which caches each
+    :meth:`repro.api.Session.pair` instead, which caches each
     method cell on disk.  ``in_channels``/``image_size`` override the
     stream-inferred model geometry, as before.
     """

@@ -10,7 +10,7 @@ Checkpoints record the compute precision they were written at (the
 ``dtype`` metadata field) and the arrays are persisted verbatim — a
 float32 model round-trips as float32, a float64 one as float64; the
 engine restores the policy from the metadata before rebuilding the
-method (see :func:`repro.engine.load_checkpoint`).
+method (see :func:`repro.engine.runner.load_checkpoint`).
 """
 
 from __future__ import annotations

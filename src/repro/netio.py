@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import math
 import os
 import re
 import socket
@@ -381,11 +382,22 @@ def _parse_header(header_bytes) -> tuple[dict, list]:
     return header, metas
 
 
+def _inflate(raw, size: int) -> bytes:
+    """Decompress ``raw``, producing at most one byte more than ``size``."""
+    inflater = zlib.decompressobj()
+    try:
+        # max_length 0 would mean "unbounded", hence the +1.
+        data = inflater.decompress(bytes(raw), size + 1)
+    except zlib.error as exc:
+        raise FrameError(f"compressed buffer is corrupt: {exc}") from exc
+    if len(data) != size or not inflater.eof:
+        raise FrameError("compressed buffer decoded to an unexpected length")
+    return data
+
+
 def _decode_buffer(meta: dict, raw):
     if meta.get("zlib") is not None:
-        raw = zlib.decompress(bytes(raw))
-        if len(raw) != meta["zlib"]:
-            raise FrameError("compressed buffer decoded to an unexpected length")
+        raw = _inflate(raw, meta["zlib"])
     kind = meta.get("kind")
     if kind == "nd":
         try:
@@ -394,9 +406,14 @@ def _decode_buffer(meta: dict, raw):
             raise FrameError(f"frame declares an invalid dtype: {exc}") from exc
         if dtype.hasobject:
             raise FrameError("object-dtype arrays cannot travel the wire")
-        shape = tuple(int(d) for d in meta.get("shape", []))
-        # np.prod of an empty tuple is 1, so 0-d arrays expect itemsize.
-        expected = dtype.itemsize * int(np.prod(shape, dtype=np.int64))
+        shape = meta.get("shape", [])
+        if not isinstance(shape, list) or not all(
+            type(d) is int and d >= 0 for d in shape
+        ):
+            raise FrameError(f"frame declares an invalid shape: {shape!r}")
+        shape = tuple(shape)
+        # Python ints cannot wrap; the product of () is 1 (0-d arrays).
+        expected = dtype.itemsize * math.prod(shape)
         if memoryview(raw).nbytes != expected:
             raise FrameError(
                 f"array buffer length {memoryview(raw).nbytes} does not match "

@@ -45,10 +45,10 @@ def store_enabled() -> bool:
     return value in ("", "0", "false", "no", "off")
 
 
-def sync_cache_event(event: str, key: str, *, obj=None, meta=None) -> None:
+def sync_cache_event(event: str, key: str, *, result=None, meta=None) -> None:
     """Write-through hook the engine cache calls on every mutation.
 
-    Events: ``store`` (new/overwritten entry — indexes the object),
+    Events: ``store`` (new/overwritten entry — indexes the result),
     ``evict`` (entry deleted — row kept, status flipped so provenance
     survives eviction), ``demote`` (verify --repair kept only the
     checkpoint), ``clear`` (cache wiped — index wiped with it).
@@ -60,7 +60,7 @@ def sync_cache_event(event: str, key: str, *, obj=None, meta=None) -> None:
         return
     store = RunStore()
     if event == "store":
-        store.index_result(key, obj, meta)
+        store.index_result(key, result, meta)
     elif event == "evict":
         store.mark_status(key, "evicted", event="evict")
     elif event == "demote":

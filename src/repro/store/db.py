@@ -1,7 +1,7 @@
 """SQLite-backed run store: the queryable index of executed cells.
 
 The engine's disk cache stays the system of record for result payloads
-(pickles + sidecars + checkpoints); the store is the *index* over it —
+(JSON results + sidecars + checkpoints); the store is the *index* over it —
 one SQLite database (``runs.sqlite``, WAL mode) living inside the cache
 directory, kept write-through-synced from every cache mutation
 (:func:`repro.engine.cache.store`, evict, verify, clear) and
@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import json
 import os
-import pickle
 import socket
 import sqlite3
 import subprocess
@@ -163,36 +162,30 @@ class RunStore:
     def index_result(
         self,
         key: str,
-        obj,
+        result,
         meta: dict | None = None,
         *,
         created: float | None = None,
         worker: str | None = None,
         event: str = "store",
     ) -> None:
-        """Upsert one cache entry as a runs row (+ a provenance row).
-
-        ``obj`` is whatever the cache was handed — a ``RunResult`` gets
-        its metrics extracted, anything else indexes as a metrics-less
-        row so store counts always match cache manifest counts.
-        """
+        """Upsert one cached ``RunResult`` as a runs row (+ a provenance row)."""
         meta = dict(meta or {})
         now = time.time()
-        metrics = metrics_payload(obj)
-        seed = meta.get("seed", getattr(obj, "seed", None))
+        metrics = metrics_payload(result)
         row = {
             "cache_key": key,
-            "method": meta.get("method", getattr(obj, "method", None)),
-            "scenario": meta.get("scenario", getattr(obj, "scenario", None)),
+            "method": meta.get("method", result.method),
+            "scenario": meta.get("scenario", result.scenario),
             "profile": meta.get("profile"),
-            "seed": int(seed) if seed is not None else None,
+            "seed": int(meta.get("seed", result.seed)),
             "dtype": meta.get("dtype"),
-            "stream": getattr(obj, "stream_name", None),
+            "stream": result.stream_name,
             "eval_scenarios": _dumps(list(meta.get("eval_scenarios", []))),
             "method_overrides": _dumps(meta.get("method_overrides", {})),
             "scenario_params": _dumps(meta.get("scenario_params", {})),
             "metrics": _dumps(metrics) if metrics is not None else None,
-            "elapsed": getattr(obj, "elapsed", None),
+            "elapsed": result.elapsed,
             "git_sha": current_git_sha(),
             "hostname": socket.gethostname(),
             "worker": worker,
@@ -493,18 +486,19 @@ class RunStore:
     def backfill(self, *, rebuild: bool = False) -> dict:
         """Index every entry of the cache directory not yet in the store.
 
-        Scans the cache layout directly (``<key>.pkl`` + ``<key>.json``
-        sidecar), unpickling each missing entry to extract metrics —
-        a trusted path: only point it at cache directories you produced.
-        ``rebuild`` drops the index first and re-reads everything.
+        Scans the cache layout directly (``<key>.result.json`` +
+        ``<key>.json`` sidecar), decoding each missing entry to extract
+        metrics.  ``rebuild`` drops the index first and re-reads everything.
         Returns ``{"entries", "indexed", "skipped", "errors"}``.
         """
+        from repro.engine import cache
+
         if rebuild:
             self.clear()
         known = {record.cache_key for record in self.query(status=None)}
         indexed = skipped = errors = entries = 0
-        for path in sorted(self.directory.glob("*.pkl")):
-            key = path.stem
+        for path in sorted(self.directory.glob("*.result.json")):
+            key = path.name[: -len(".result.json")]
             entries += 1
             if key in known:
                 skipped += 1
@@ -515,14 +509,13 @@ class RunStore:
                 created = sidecar.get("created")
                 spec = sidecar.get("spec", {})
             except (OSError, ValueError):
-                pass  # pre-manifest caches: index with what the pickle has
+                pass  # no sidecar: index with what the result has
             try:
-                with path.open("rb") as handle:
-                    obj = pickle.load(handle)
+                result = cache.read_result(path)
             except Exception:
                 errors += 1
                 continue
-            self.index_result(key, obj, spec, created=created, event="backfill")
+            self.index_result(key, result, spec, created=created, event="backfill")
             indexed += 1
         return {
             "entries": entries,

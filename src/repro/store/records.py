@@ -13,9 +13,8 @@ The ``metrics`` payload is a plain JSON-safe dict:
 * streaming methods — ``{"protocols": {"til": {"acc": ..., "fgt": ...,
   "r": [[...]]}, "cil": {...}}}`` where ``r`` is the full R-matrix
   (rows = after-task, columns = on-task, NaN where unmeasured), enough
-  to re-render Figure 2 without touching the pickled result;
-* static methods (TVT) — ``{"static": {"til": ..., "cil": ...}}``;
-* non-result cache entries (foreign payloads) — ``None``.
+  to re-render Figure 2 without touching the cached result;
+* static methods (TVT) — ``{"static": {"til": ..., "cil": ...}}``.
 """
 
 from __future__ import annotations
@@ -130,17 +129,11 @@ def records_to_json(records, indent: int | None = None) -> str:
 
 
 def metrics_payload(result) -> dict | None:
-    """Extract the store's metrics dict from a finished run result.
-
-    Duck-typed (``results`` / ``static_acc`` attributes) so the store
-    never needs to import the engine's result classes; foreign cache
-    payloads (anything that is not a run result) index as ``None``.
-    """
-    results = getattr(result, "results", None)
-    if isinstance(results, dict) and results:
+    """Extract the store's metrics dict from a finished ``RunResult``."""
+    if result.results:
         return {
             "protocols": {
-                getattr(scenario, "value", str(scenario)): {
+                scenario.value: {
                     "acc": float(run.acc),
                     "fgt": float(run.fgt),
                     "r": [
@@ -148,15 +141,14 @@ def metrics_payload(result) -> dict | None:
                         for row in run.r_matrix.values.tolist()
                     ],
                 }
-                for scenario, run in results.items()
+                for scenario, run in result.results.items()
             }
         }
-    static = getattr(result, "static_acc", None)
-    if isinstance(static, dict) and static:
+    if result.static_acc:
         return {
             "static": {
-                getattr(scenario, "value", str(scenario)): float(acc)
-                for scenario, acc in static.items()
+                scenario.value: float(acc)
+                for scenario, acc in result.static_acc.items()
             }
         }
     return None

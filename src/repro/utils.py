@@ -6,10 +6,7 @@ objects threaded through explicitly, falling back to a process-global
 generator controlled by :func:`set_seed`.
 
 The module also hosts the small dependency-free helpers that every
-layer shares (``env_flag``, ``parse_size``, ``format_bytes``).  They
-used to live in a separate ``repro.util`` module; the near-identical
-names were a constant source of wrong imports, so the two merged here
-in 0.7 (``repro.util`` remains as a deprecation shim).
+layer shares (``env_flag``, ``parse_size``, ``format_bytes``).
 """
 
 from __future__ import annotations

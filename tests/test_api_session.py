@@ -130,7 +130,7 @@ class TestExecution:
         custom = tmp_path / "custom-store"
         session = Session(cache_dir=custom)
         tiny_builder(session).start()
-        assert list(custom.glob("*.pkl"))  # entries landed in the session dir
+        assert list(custom.glob("*.result.json"))  # entries landed in the session dir
         # and the process environment was restored afterwards
         assert os.environ["REPRO_CACHE_DIR"] != str(custom)
 

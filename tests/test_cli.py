@@ -38,11 +38,13 @@ class TestSmokeExecution:
 
 class TestCacheCommands:
     @pytest.fixture(autouse=True)
-    def _isolated_cache(self, tmp_path, monkeypatch):
+    def _isolated_cache(self, tmp_path, monkeypatch, make_result):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "engine-cache"))
+        self.make_result = make_result
 
     def _seed_entry(self, key="a" * 32, scenario="digits"):
-        cache.store(key, b"payload", meta={"method": "CDCL", "scenario": scenario, "seed": 0})
+        result = self.make_result(scenario=scenario)
+        cache.store(key, result, meta={"method": "CDCL", "scenario": scenario, "seed": 0})
         return key
 
     def test_cache_stats_reports_counts_and_bytes(self, capsys):
@@ -90,7 +92,7 @@ class TestCacheCommands:
 
     def test_cache_verify_flags_corruption(self, capsys):
         key = self._seed_entry()
-        (cache.cache_dir() / f"{key}.pkl").write_bytes(b"garbage")
+        (cache.cache_dir() / f"{key}.result.json").write_bytes(b"garbage")
         assert main(["cache-verify"]) == 1
         assert "1 corrupt" in capsys.readouterr().out
         assert main(["cache-verify", "--repair"]) == 0
@@ -163,11 +165,13 @@ class TestNounVerbGroups:
     """The 0.6 noun-verb surface and its deprecated flat aliases."""
 
     @pytest.fixture(autouse=True)
-    def _isolated_cache(self, tmp_path, monkeypatch):
+    def _isolated_cache(self, tmp_path, monkeypatch, make_result):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "engine-cache"))
+        self.make_result = make_result
 
     def _seed_entry(self, key="a" * 32, scenario="digits"):
-        cache.store(key, b"payload", meta={"method": "CDCL", "scenario": scenario, "seed": 0})
+        result = self.make_result(scenario=scenario)
+        cache.store(key, result, meta={"method": "CDCL", "scenario": scenario, "seed": 0})
         return key
 
     def test_cache_stats_noun_verb(self, capsys):
@@ -222,13 +226,14 @@ class TestNounVerbGroups:
 
 class TestRunsCommands:
     @pytest.fixture(autouse=True)
-    def _isolated_cache(self, tmp_path, monkeypatch):
+    def _isolated_cache(self, tmp_path, monkeypatch, make_result):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "engine-cache"))
+        self.make_result = make_result
 
     def _seed_entry(self, key="a" * 32, method="CDCL", seed=0):
         cache.store(
             key,
-            b"payload",
+            self.make_result(seed, method=method),
             meta={"method": method, "scenario": "digits", "seed": seed,
                   "profile": "smoke", "dtype": "float32"},
         )
@@ -246,10 +251,12 @@ class TestRunsCommands:
         assert "2 rows" in out and "CDCL" in out and "DER" in out
         assert main(["runs", "query", "--method", "DER", "--json"]) == 0
         document = json.loads(capsys.readouterr().out)
-        # A metrics-less payload still exports one row (acc empty).
-        [row] = document["rows"]
-        assert row["cache_key"] == "b" * 32
-        assert row["acc"] is None
+        rows = document["rows"]
+        assert {row["cache_key"] for row in rows} == {"b" * 32}
+        expected = self.make_result(1, method="DER").results
+        assert {row["protocol"]: row["acc"] for row in rows} == {
+            protocol.value: run.acc for protocol, run in expected.items()
+        }
         assert main(["runs", "query", "--method", "nope"]) == 0
         assert "0 rows" in capsys.readouterr().out
 

@@ -26,17 +26,22 @@ from repro.cluster import (
     ClusterJobError,
     ClusterWorker,
     CoordinatorThread,
-    decode_result,
     decode_spec,
-    encode_result,
     encode_spec,
     format_address,
     parse_address,
 )
+from repro.continual import Scenario
 from repro.data.synthetic import mnist_usps
 from repro.engine import cache
 from repro.engine.executor import run_specs
-from repro.engine.runner import RunResult, run_one, spec_for
+from repro.engine.runner import (
+    RunResult,
+    result_from_tree,
+    result_to_tree,
+    run_one,
+    spec_for,
+)
 from repro.engine.registry import METHODS, SCENARIOS, register_scenario
 
 #: Small enough that one cell trains in about a second.
@@ -166,19 +171,6 @@ class TestProtocol:
         assert decoded.cache_key() == spec.cache_key()
         assert decoded.eval_scenarios == spec.eval_scenarios
 
-    def test_result_round_trip_is_bitwise(self):
-        result = run_one(tiny_spec(seed=11), use_cache=False)
-        decoded = decode_result(encode_result(result))
-        assert_cells_identical(decoded, result)
-        assert decoded.elapsed == result.elapsed
-
-    def test_decode_result_rejects_foreign_objects(self):
-        import base64
-        import pickle
-
-        text = base64.b64encode(pickle.dumps({"not": "a result"})).decode()
-        with pytest.raises(TypeError, match="RunResult"):
-            decode_result(text)
 
 
 class TestEnvUnlocks:
@@ -435,7 +427,7 @@ class TestFaultTolerance:
                     "op": "complete",
                     "worker_id": zombie["worker_id"],
                     "task_id": job.task_ids[0],
-                    "result": encode_result(result),
+                    "result": result_to_tree(result),
                     "cached": False,
                 },
             )
@@ -609,39 +601,82 @@ class TestCoordinatorOps:
 
 
 # ----------------------------------------------------------------------
-# Wire protocol v2 — typed result frames + checkpoint upload
+# The one result codec (cache file and both wire framings) + checkpoint upload
 # ----------------------------------------------------------------------
-class TestResultFrames:
-    """The typed v2 result codec must be bitwise-faithful and must
-    interoperate with the v1 pickle dialect through one dispatch."""
+def assert_results_equal(ours: RunResult, theirs: RunResult) -> None:
+    """Every field equal, NaN positions and history dtypes included."""
+    assert (ours.method, ours.scenario, ours.stream_name, ours.seed) == (
+        theirs.method, theirs.scenario, theirs.stream_name, theirs.seed
+    )
+    assert ours.elapsed == theirs.elapsed
+    assert ours.static_acc == theirs.static_acc
+    assert set(ours.results) == set(theirs.results)
+    for scenario, run in ours.results.items():
+        other = theirs.results[scenario]
+        assert (run.method, run.stream, run.scenario) == (other.method, other.stream, other.scenario)
+        assert run.r_matrix.num_tasks == other.r_matrix.num_tasks
+        assert run.r_matrix.values.dtype == other.r_matrix.values.dtype
+        assert np.array_equal(run.r_matrix.values, other.r_matrix.values, equal_nan=True)
+        assert len(run.history) == len(other.history)
+        for entry, theirs_entry in zip(run.history, other.history):
+            assert entry["task_id"] == theirs_entry["task_id"]
+            assert entry["row"].dtype == theirs_entry["row"].dtype == np.float64
+            assert np.array_equal(entry["row"], theirs_entry["row"], equal_nan=True)
 
-    def test_frame_round_trip_is_bitwise(self):
-        from repro.cluster.protocol import (
-            decode_result_frames,
-            encode_result_frames,
-        )
 
+class TestResultTree:
+    """``result_to_tree``/``result_from_tree`` is bitwise-faithful through
+    JSON and refuses anything else with a small, typed error."""
+
+    def test_json_round_trip_is_exact(self, make_result):
+        import json
+
+        trained = run_one(tiny_spec(seed=12), use_cache=False)
+        for result in (trained, make_result(3, num_tasks=4), make_result(static=True)):
+            tree = json.loads(json.dumps(result_to_tree(result)))
+            assert_results_equal(result_from_tree(tree), result)
+        assert np.isnan(trained.results[Scenario.TIL].r_matrix.values).any()
+
+    def test_frame_round_trip_is_exact(self):
         result = run_one(tiny_spec(seed=12), use_cache=False)
-        payload = encode_result_frames(result)
-        # Through the actual wire bytes, not just the dict in memory.
-        wire = netio.encode_frame({"result": payload}, compress=6)
-        decoded = decode_result_frames(netio.decode_frame(wire)["result"])
-        assert_cells_identical(decoded, result)
-        assert decoded.elapsed == result.elapsed
+        wire = netio.encode_frame({"result": result_to_tree(result)}, compress=6)
+        assert_results_equal(result_from_tree(netio.decode_frame(wire)["result"]), result)
 
-    def test_payload_dispatch_accepts_both_dialects(self):
-        from repro.cluster.protocol import (
-            decode_result_payload,
-            encode_result_frames,
-        )
+    @pytest.mark.parametrize(
+        "tree",
+        [
+            "gASVEAAAAAAAAAB9lIwDbm90lIwBYZRzLg==",  # a base64 pickle
+            {"format": "not/a/result"},
+            None,
+        ],
+    )
+    def test_foreign_payloads_are_value_errors(self, tree):
+        with pytest.raises(ValueError):
+            result_from_tree(tree)
 
-        result = run_one(tiny_spec(seed=12), use_cache=False)
-        via_pickle = decode_result_payload(encode_result(result))
-        via_frames = decode_result_payload(encode_result_frames(result))
-        assert_cells_identical(via_pickle, result)
-        assert_cells_identical(via_frames, result)
-        with pytest.raises((TypeError, ValueError)):
-            decode_result_payload({"format": "not/a/result"})
+    def test_size_mismatch_refused_before_allocation(self, make_result):
+        import tracemalloc
+
+        tree = result_to_tree(make_result(num_tasks=1))
+        tree["results"][0]["num_tasks"] = 5000  # claims a 5000x5000 R-matrix
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="floats"):
+                result_from_tree(tree)
+            _current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
+
+    def test_malformed_entries_are_value_errors(self, make_result):
+        tree = result_to_tree(make_result())
+        del tree["results"][0]["history"]
+        with pytest.raises(ValueError, match="malformed"):
+            result_from_tree(tree)
+        tree = result_to_tree(make_result())
+        tree["results"][0]["r_values"][0][0] = "0.5"
+        with pytest.raises(ValueError, match="floats"):
+            result_from_tree(tree)
 
     def test_coordinator_refuses_undecodable_result(self):
         with CoordinatorThread(check_interval=0.05) as (host, port):
@@ -664,6 +699,42 @@ class TestResultFrames:
             status = client.status(job)
         assert not answer["ok"] and "undecodable" in answer["error"]
         assert status["done"] == 0  # the cell was not marked complete
+
+    def test_v1_pickle_text_refused_and_coordinator_keeps_serving(self):
+        """A base64 pickle on a JSON line is refused as undecodable; it is
+        never unpickled, and the coordinator goes on answering."""
+        import base64
+        import pickle
+
+        class Marker:
+            def __reduce__(self):  # unpickling would set the variable
+                return (exec, ("import os; os.environ['REPRO_TEST_UNPICKLED'] = '1'",))
+
+        text = base64.b64encode(pickle.dumps(Marker())).decode("ascii")
+        with CoordinatorThread(check_interval=0.05) as (host, port):
+            client = ClusterClient(f"{host}:{port}", poll_interval=0.05)
+            job = client.submit([tiny_spec(seed=0)])
+            hello = netio.call(host, port, {"op": "hello", "name": "mal"}, proto=1)
+            lease = netio.call(
+                host, port, {"op": "lease", "worker_id": hello["worker_id"]}, proto=1
+            )
+            answer = netio.call(
+                host,
+                port,
+                {
+                    "op": "complete",
+                    "worker_id": hello["worker_id"],
+                    "task_id": lease["task"]["task_id"],
+                    "result": text,
+                },
+                proto=1,
+            )
+            ping = netio.call(host, port, {"op": "ping"}, proto=1)
+            status = client.status(job)
+        assert not answer["ok"] and "undecodable result" in answer["error"]
+        assert "REPRO_TEST_UNPICKLED" not in os.environ
+        assert ping["ok"]
+        assert status["done"] == 0
 
 
 class TestForcedJsonWire:
@@ -702,7 +773,7 @@ class TestCheckpointUpload:
                 "op": "complete",
                 "worker_id": hello["worker_id"],
                 "task_id": lease["task"]["task_id"],
-                "result": encode_result(result),
+                "result": result_to_tree(result),
             },
         )
         return hello["worker_id"], answer

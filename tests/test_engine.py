@@ -21,15 +21,11 @@ from repro.engine import (
     SCENARIOS,
     RunSpec,
     cache,
-    derive_seeds,
     get_profile,
     register_scenario,
-    run_one,
-    run_pair_cells,
-    run_seed_sweep,
-    run_specs,
-    spec_for,
 )
+from repro.engine.executor import derive_seeds, run_seed_sweep, run_specs
+from repro.engine.runner import run_one, run_pair_cells, spec_for
 
 SMOKE = get_profile("smoke")
 
@@ -194,8 +190,8 @@ class TestRunSpecCache:
     def test_corrupt_entry_is_a_miss(self):
         spec = tiny_spec()
         run_one(spec, use_cache=True)
-        path = cache.cache_dir() / f"{spec.cache_key()}.pkl"
-        path.write_bytes(b"not a pickle")
+        path = cache.cache_dir() / f"{spec.cache_key()}.result.json"
+        path.write_bytes(b"not a result")
         result = run_one(spec, use_cache=True)
         assert not result.cached  # recomputed, then re-stored
         assert run_one(spec, use_cache=True).cached

@@ -12,16 +12,9 @@ import pytest
 
 from repro.continual import Scenario, evaluate_task_multi
 from repro.data.synthetic import mnist_usps
-from repro.engine import (
-    SCENARIOS,
-    RunSpec,
-    cache,
-    has_checkpoint,
-    load_checkpoint,
-    register_scenario,
-    run_one,
-    run_specs,
-)
+from repro.engine import SCENARIOS, RunSpec, cache, register_scenario
+from repro.engine.executor import run_specs
+from repro.engine.runner import has_checkpoint, load_checkpoint, run_one
 
 #: Tiny workload: 2-task digit stream, 2-epoch training.
 TINY_OVERRIDES = dict(

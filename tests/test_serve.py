@@ -134,7 +134,7 @@ class TestServeVsCacheEviction:
         serves, and serving pins it against eviction."""
         spec = checkpointed_spec(session)
         key = spec.cache_key()
-        (cache.cache_dir() / f"{key}.pkl").write_bytes(b"garbage")
+        (cache.cache_dir() / f"{key}.result.json").write_bytes(b"garbage")
         cache.verify(repair=True)  # drops the result, keeps the checkpoint
         pool = ModelPool(session)
         model = pool.get(spec)  # load_checkpoint does not need the result

@@ -19,6 +19,7 @@ import pytest
 
 from repro.api import Session
 from repro.cluster import ClusterClient, ClusterJobError, ClusterWorker, CoordinatorThread
+from repro.continual import Scenario
 from repro.data.synthetic import mnist_usps
 from repro.engine import cache
 from repro.engine.executor import run_specs
@@ -72,8 +73,6 @@ class TestWriteThrough:
         assert record.git_sha == current_git_sha()
         assert record.hostname
         assert set(record.protocols()) == {"til", "cil"}
-        from repro.continual import Scenario
-
         for protocol in record.protocols():
             assert record.acc(protocol) == pytest.approx(
                 result.results[Scenario.parse(protocol)].acc
@@ -86,13 +85,14 @@ class TestWriteThrough:
                 run_one(tiny_spec(method, seed=seed))
         assert RunStore().count() == len(cache.manifest()) == 4
 
-    def test_non_result_payload_indexes_without_metrics(self):
-        cache.store("a" * 32, b"payload", meta={"method": "CDCL", "scenario": "x"})
+    def test_static_result_indexes_static_metrics(self, make_result):
+        result = make_result(method="TVT", static=True)
+        cache.store("a" * 32, result, meta={"method": "TVT", "scenario": "x"})
         store = RunStore()
         assert store.count() == len(cache.manifest()) == 1
         record = store.get("a" * 32)
-        assert record.metrics is None
-        assert record.protocols() == ()
+        assert record.is_static and set(record.protocols()) == {"til", "cil"}
+        assert record.acc("cil") == result.static_acc[Scenario.CIL]
 
     def test_evict_flips_status_and_keeps_provenance(self):
         spec = tiny_spec()
@@ -112,7 +112,7 @@ class TestWriteThrough:
         spec = tiny_spec()
         run_one(spec, checkpoint=True)
         key = spec.cache_key()
-        (cache.cache_dir() / f"{key}.pkl").write_bytes(b"garbage")
+        (cache.cache_dir() / f"{key}.result.json").write_bytes(b"garbage")
         cache.verify(repair=True)
         record = RunStore().get(key)
         assert record.status == "checkpoint-only"
@@ -235,7 +235,7 @@ class TestBackfill:
 
     def test_backfill_counts_unreadable_entries_as_errors(self):
         run_one(tiny_spec())
-        (cache.cache_dir() / ("b" * 32 + ".pkl")).write_bytes(b"garbage")
+        (cache.cache_dir() / ("b" * 32 + ".result.json")).write_bytes(b"garbage")
         summary = RunStore().backfill(rebuild=True)
         assert summary["errors"] == 1
         assert summary["indexed"] == 1

@@ -94,11 +94,11 @@ class TestFormatBytes:
 
 
 class TestCacheIntegration:
-    def test_evict_accepts_suffixed_max_bytes(self, tmp_path, monkeypatch):
+    def test_evict_accepts_suffixed_max_bytes(self, tmp_path, monkeypatch, make_result):
         from repro.engine import cache
 
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "c"))
-        cache.store("a" * 32, b"x", meta={"scenario": "s"})
+        cache.store("a" * 32, make_result(), meta={"scenario": "s"})
         victims = cache.evict(max_bytes="0K")
         assert [v.key for v in victims] == ["a" * 32]
 

@@ -164,6 +164,48 @@ class TestFrameRejection:
         with pytest.raises(netio.FrameError, match="does not match"):
             netio.decode_frame(frame)
 
+    @staticmethod
+    def _one_buffer_frame(meta: dict, data: bytes) -> bytes:
+        header = json.dumps(
+            {"payload": {"x": {"__repb__": 0}}, "buffers": [{**meta, "nbytes": len(data)}]}
+        ).encode()
+        return struct.pack("<4sBBHI", b"REPB", 2, 0, 1, len(header)) + header + data
+
+    def test_inflate_bomb_refused_with_small_peak(self):
+        """A buffer declaring 1 raw byte that inflates to 64 MiB must be
+        refused without materialising the inflated bytes."""
+        import tracemalloc
+        import zlib
+
+        bomb = zlib.compress(b"\0" * (64 << 20), 9)
+        frame = self._one_buffer_frame({"kind": "bytes", "zlib": 1}, bomb)
+        tracemalloc.start()
+        try:
+            with pytest.raises(netio.FrameError, match="unexpected length"):
+                netio.decode_frame(frame)
+            _current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * len(frame)
+
+    def test_corrupt_compressed_buffer_refused(self):
+        frame = self._one_buffer_frame({"kind": "bytes", "zlib": 4}, b"not zlib")
+        with pytest.raises(netio.FrameError, match="corrupt"):
+            netio.decode_frame(frame)
+
+    @pytest.mark.parametrize(
+        "shape, data",
+        [
+            (["x"], b""),
+            ([-1, -1], b"\0" * 8),
+            ([2**32, 2**32], b""),  # an int64 product would wrap to 0
+        ],
+    )
+    def test_malformed_shape_refused(self, shape, data):
+        frame = self._one_buffer_frame({"kind": "nd", "dtype": "<f8", "shape": shape}, data)
+        with pytest.raises(netio.FrameError):
+            netio.decode_frame(frame)
+
     def test_missing_buffer_reference_refused(self):
         header = json.dumps({"payload": {"x": {"__repb__": 3}}, "buffers": []}).encode()
         frame = struct.pack("<4sBBHI", b"REPB", 2, 0, 0, len(header)) + header

@@ -79,11 +79,10 @@ def cells_on_disk(directory: Path, spec, seeds: int) -> list[int]:
     """Which seeds of ``spec`` have a cached result under ``directory``."""
     from dataclasses import replace
 
-    return [
-        seed
-        for seed in range(seeds)
-        if (directory / f"{replace(spec, seed=seed).cache_key()}.pkl").exists()
-    ]
+    from repro.engine import cache
+
+    os.environ["REPRO_CACHE_DIR"] = str(directory)
+    return [seed for seed in range(seeds) if cache.contains(replace(spec, seed=seed).cache_key())]
 
 
 def main() -> int:

@@ -14,8 +14,9 @@ prediction proves the wire checkpoint transport):
    the smoke drives fleet size explicitly through the ``scale`` op;
 3. every model predicts through the gateway and is checked
    **bitwise-equal** against a direct ``predict_multi`` on the same
-   checkpoint; replica caches are audited to hold zero trained ``.pkl``
-   entries (checkpoints arrived over the wire, nothing retrained);
+   checkpoint; replica caches are audited to hold zero trained
+   ``.result.json`` entries (checkpoints arrived over the wire, nothing
+   retrained);
 4. a concurrent mixed-model workload is timed at 1 replica, the fleet
    scales to ``--max-replicas``, and the same workload must run at
    least ``--min-speedup`` (default 2x) faster;
@@ -223,7 +224,7 @@ async def check(args, session, specs, client, gateway_proc, replica_root) -> int
     if pushes < args.models:
         print(f"FAIL: only {pushes} checkpoint pushes for {args.models} models")
         return 1
-    trained_locally = list(replica_root.rglob("*.pkl"))
+    trained_locally = list(replica_root.rglob("*.result.json"))
     if trained_locally:
         print(f"FAIL: replica caches hold trained entries: {trained_locally}")
         return 1
