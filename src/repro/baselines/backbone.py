@@ -71,7 +71,7 @@ class CompactTransformer(Module):
         self.embed_dim = config.embed_dim
 
     def forward(self, x, context=None) -> Tensor:
-        """(N, C, H, W) images -> (N, d) pooled features.
+        """(..., N, C, H, W) images -> (..., N, d) pooled features.
 
         ``context`` activates cross-attention in the first encoder layer
         (queries from ``x``, keys/values from ``context``) — used by the
@@ -85,4 +85,4 @@ class CompactTransformer(Module):
             encoded = self.encoder(tokens, context_tokens)
         else:
             encoded = self.encoder(tokens)
-        return encoded.mean(axis=1)
+        return encoded.mean(axis=-2)

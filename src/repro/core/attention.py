@@ -36,6 +36,7 @@ from repro.nn import (
     Parameter,
 )
 from repro.nn import init as nn_init
+from repro.nn.attention import merge_heads, split_heads
 from repro.utils import resolve_rng, spawn_rng
 
 __all__ = ["TaskConditionedAttention", "CDCLEncoderLayer", "CDCLEncoder"]
@@ -109,13 +110,22 @@ class TaskConditionedAttention(Module):
     # ------------------------------------------------------------------
     # Attention computation
     # ------------------------------------------------------------------
-    def _split_heads(self, x: Tensor) -> Tensor:
-        b, n, _ = x.shape
-        return x.reshape((b, n, self.num_heads, self.head_dim)).transpose((0, 2, 1, 3))
-
-    def _merge_heads(self, x: Tensor) -> Tensor:
-        b, _h, n, _d = x.shape
-        return x.transpose((0, 2, 1, 3)).reshape((b, n, self.dim))
+    def attention_weights(
+        self, x: Tensor, task_id: int, context: Tensor | None = None
+    ) -> Tensor:
+        """Softmax scores ``(..., heads, n, n)`` of task ``task_id``'s
+        attention of ``x`` into ``context`` (``x`` itself if None)."""
+        self._check_task(task_id)
+        context = x if context is None else context
+        q = split_heads(self.q_proj(x), self.num_heads)
+        k = split_heads(self.task_keys[task_id](context), self.num_heads)
+        # matmul_bt folds K's transpose into the BLAS call (no graph node).
+        scores = ops.matmul_bt(q, k) * (1.0 / np.sqrt(self.head_dim))
+        # b_i in R^{1 x n} biases the key axis, broadcast over batch/heads/
+        # rows; a seed-stacked (S, 1, n) bias keeps its seed axis in front.
+        bias = self._task_biases[task_id]
+        lead = bias.shape[:-2] + (1,) * (scores.ndim - bias.ndim + 1)
+        return ops.softmax(scores + bias.reshape(lead + (self.seq_len,)), axis=-1)
 
     def forward(self, x: Tensor, task_id: int, context: Tensor | None = None) -> Tensor:
         """Apply attention for task ``task_id``.
@@ -123,20 +133,12 @@ class TaskConditionedAttention(Module):
         ``context=None`` is the self-attention path (Eq. 2); providing a
         context sequence activates cross-attention (Eq. 3) with queries
         from ``x`` (source) and keys/values from ``context`` (target).
+        Leading axes of ``x``/``context`` (a seed axis included) pass
+        through.
         """
-        self._check_task(task_id)
-        context = x if context is None else context
-        q = self._split_heads(self.q_proj(x))
-        k = self._split_heads(self.task_keys[task_id](context))
-        v = self._split_heads(self.v_proj(context))
-        # matmul_bt folds K's transpose into the BLAS call (no graph node).
-        scores = ops.matmul_bt(q, k) * (1.0 / np.sqrt(self.head_dim))
-        # b_i in R^{1 x n} biases the key axis, broadcast over batch/heads/rows.
-        bias = self._task_biases[task_id]
-        scores = scores + bias.reshape((1, 1, 1, self.seq_len))
-        weights = ops.softmax(scores, axis=-1)
-        attended = ops.matmul(weights, v)
-        return self.out_proj(self._merge_heads(attended))
+        weights = self.attention_weights(x, task_id, context)
+        v = split_heads(self.v_proj(x if context is None else context), self.num_heads)
+        return self.out_proj(merge_heads(ops.matmul(weights, v)))
 
     def __repr__(self) -> str:
         return (

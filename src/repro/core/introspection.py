@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.autograd import Tensor, no_grad, ops
+from repro.autograd import Tensor, no_grad
 from repro.core.attention import TaskConditionedAttention
 from repro.core.network import CDCLNetwork
 
@@ -22,12 +22,7 @@ def _layer_attention(
     attn: TaskConditionedAttention, x: Tensor, task_id: int, context: Tensor | None
 ) -> np.ndarray:
     """Softmax attention weights (B, heads, n, n) for one layer."""
-    context = x if context is None else context
-    q = attn._split_heads(attn.q_proj(x))
-    k = attn._split_heads(attn.task_keys[task_id](context))
-    scores = ops.matmul(q, k.transpose((0, 1, 3, 2))) * (1.0 / np.sqrt(attn.head_dim))
-    scores = scores + attn._task_biases[task_id].reshape((1, 1, 1, attn.seq_len))
-    return ops.softmax(scores, axis=-1).data
+    return attn.attention_weights(x, task_id, context).data
 
 
 def attention_maps(

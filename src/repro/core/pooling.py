@@ -28,11 +28,11 @@ class SequencePool(Module):
         self.g = Linear(dim, 1, rng=resolve_rng(rng))
 
     def forward(self, tokens: Tensor) -> Tensor:
-        """(N, n, d) token sequence -> (N, d) pooled features."""
-        logits = self.g(tokens)  # (N, n, 1)
-        weights = ops.softmax(logits.transpose((0, 2, 1)), axis=-1)  # (N, 1, n)
-        pooled = ops.matmul(weights, tokens)  # (N, 1, d)
-        return pooled.reshape((tokens.shape[0], self.dim))
+        """(..., N, n, d) token sequence -> (..., N, d) pooled features."""
+        logits = self.g(tokens)  # (..., N, n, 1)
+        weights = ops.softmax(logits.swapaxes(-1, -2), axis=-1)  # (..., N, 1, n)
+        pooled = ops.matmul(weights, tokens)  # (..., N, 1, d)
+        return pooled.reshape(tokens.shape[:-2] + (self.dim,))
 
     def __repr__(self) -> str:
         return f"SequencePool(dim={self.dim})"

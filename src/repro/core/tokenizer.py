@@ -75,10 +75,14 @@ class ConvTokenizer(Module):
         self.seq_len = side * side
 
     def forward(self, x: Tensor) -> Tensor:
-        """(N, C, H, W) image batch -> (N, n, d) token sequence."""
-        feats = self.blocks(x)  # (N, d, side, side)
-        n, d, h, w = feats.shape
-        return feats.reshape((n, d, h * w)).transpose((0, 2, 1))
+        """(..., N, C, H, W) image batch -> (..., N, n, d) token sequence.
+
+        A seed-stacked tokenizer takes ``(S, N, C, H, W)`` batches
+        through the ensemble convolution kernel.
+        """
+        feats = self.blocks(x)  # (..., N, d, side, side)
+        h, w = feats.shape[-2:]
+        return feats.reshape(feats.shape[:-2] + (h * w,)).swapaxes(-1, -2)
 
     def __repr__(self) -> str:
         return (

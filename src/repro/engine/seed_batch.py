@@ -3,10 +3,11 @@
 The process-pool path of :func:`~repro.engine.executor.run_seed_sweep`
 pays the full Python/im2col/graph overhead once *per seed*.  This
 module folds the uncached seeds of one spec into a single batched run:
-every parameter of every per-seed model is stacked along a leading
-``(S, ...)`` ensemble axis (:class:`repro.nn.ensemble.SeedStack`), the
-forward/backward runs once through the 5-D/seed-batched kernels, and
-the result splits back into S independent per-seed
+:meth:`repro.nn.ensemble.SeedStack.lift` stacks every parameter of the
+per-seed models along a leading ``(S, ...)`` ensemble axis and returns
+a clone of the solo model over those stacked parameters, the clone's
+own (rank-generic) forward runs once through the 5-D/seed-batched
+kernels, and the result splits back into S independent per-seed
 :class:`~repro.engine.runner.RunResult` cells cached under each seed's
 *normal* cell key — so batched and per-process sweeps share the cache
 bidirectionally.
@@ -19,9 +20,10 @@ Equivalence contract (see DESIGN.md "Ensemble axis"):
   stacked storage;
 * per-seed randomness (data order, replay sampling) draws from each
   seed's own solo generators in solo call order;
-* optimizer/clip updates run the *solo* optimizer code per seed on
-  gradient views of the stacked backward, so update arithmetic can
-  never drift from the serial path;
+* optimizer/clip updates run the *solo* optimizer code — per seed on
+  gradient views of the stacked backward, or ``Adam._update`` once on
+  the stacked slots — so update arithmetic can never drift from the
+  serial path;
 * at float64 the lifted methods (FineTune, DER, CDCL) are
   bitwise-equal to serial ``run_one`` cells (asserted in tests).
 
@@ -41,191 +43,18 @@ from dataclasses import replace
 import numpy as np
 
 from repro import telemetry
-from repro.autograd import Tensor, default_dtype, get_default_dtype, max_pool2d, no_grad, ops
+from repro.autograd import Tensor, default_dtype, get_default_dtype, no_grad, ops
 from repro.continual import Scenario
 from repro.continual.evaluator import ContinualResult, _scenario_accuracy, evaluate_task_multi
 from repro.continual.metrics import RMatrix
 from repro.engine import cache
 from repro.engine.registry import METHODS, SCENARIOS
 from repro.engine.runner import RunResult, RunSpec, _save_checkpoint, spec_summary
-from repro.nn.ensemble import (
-    EConv2d,
-    EFeedForward,
-    ELayerNorm,
-    ELinear,
-    ETransformerEncoder,
-    SeedStack,
-    cross_entropy_vec,
-)
-from repro.nn.module import Module
+from repro.baselines.base import BaselineTrainer
+from repro.nn.ensemble import SeedStack, cross_entropy_vec
 from repro.optim import Adam, WarmupCosineSchedule, clip_grad_norm
 
 __all__ = ["liftable", "lifted_methods", "run_seed_batch"]
-
-
-# ======================================================================
-# Model mirrors (CDCL-specific; the generic layers live in nn.ensemble)
-# ======================================================================
-class EConvTokenizer(Module):
-    """Ensemble mirror of :class:`repro.core.tokenizer.ConvTokenizer`:
-    per-seed conv stacks through the 5-D kernel, pooling folded over the
-    leading ``(S, N)`` axes."""
-
-    def __init__(self, stack: SeedStack, solos):
-        super().__init__()
-        solos = list(solos)
-        ref = solos[0]
-        self.embed_dim = ref.embed_dim
-        self.seq_len = ref.seq_len
-        num_layers = len(list(ref.blocks)) // 3
-        self._convs = [
-            EConv2d(stack, [m.blocks[3 * layer] for m in solos])
-            for layer in range(num_layers)
-        ]
-        # MaxPool2d carries no parameters; replay its (kernel, stride,
-        # padding) configuration through the leading-axes pool kernel.
-        self._pools = [
-            (ref.blocks[3 * layer + 2].kernel_size,
-             ref.blocks[3 * layer + 2].stride,
-             ref.blocks[3 * layer + 2].padding)
-            for layer in range(num_layers)
-        ]
-
-    def forward(self, x: Tensor) -> Tensor:
-        """(S, N, C, H, W) images -> (S, N, n, d) token sequences."""
-        for conv, (kernel, stride, padding) in zip(self._convs, self._pools):
-            x = max_pool2d(ops.relu(conv(x)), kernel, stride, padding)
-        s, n, d, h, w = x.shape
-        return x.reshape((s, n, d, h * w)).transpose((0, 1, 3, 2))
-
-
-class ECompactTransformer(Module):
-    """Ensemble mirror of the shared baseline backbone (tokenizer +
-    standard encoder + mean pooling over the token axis)."""
-
-    def __init__(self, stack: SeedStack, solos):
-        super().__init__()
-        solos = list(solos)
-        self.embed_dim = solos[0].embed_dim
-        self.tokenizer = EConvTokenizer(stack, [m.tokenizer for m in solos])
-        self.encoder = ETransformerEncoder(stack, [m.encoder for m in solos])
-
-    def forward(self, x) -> Tensor:
-        x = x if isinstance(x, Tensor) else Tensor(np.asarray(x))
-        tokens = self.tokenizer(x)
-        encoded = self.encoder(tokens)
-        return encoded.mean(axis=2)
-
-
-class ESequencePool(Module):
-    """Ensemble mirror of :class:`repro.core.pooling.SequencePool`."""
-
-    def __init__(self, stack: SeedStack, solos):
-        super().__init__()
-        solos = list(solos)
-        self.dim = solos[0].dim
-        self.g = ELinear(stack, [m.g for m in solos])
-
-    def forward(self, tokens: Tensor) -> Tensor:
-        logits = self.g(tokens)  # (S, N, n, 1)
-        weights = ops.softmax(logits.transpose((0, 1, 3, 2)), axis=-1)
-        pooled = ops.matmul(weights, tokens)  # (S, N, 1, d)
-        return pooled.reshape((tokens.shape[0], tokens.shape[1], self.dim))
-
-
-class ETaskConditionedAttention(Module):
-    """Ensemble mirror of CDCL's task-conditioned attention.
-
-    Only the self-attention path is mirrored (the batched phase — CDCL
-    warm-up — never passes a context); per-task keys and biases are
-    adopted as tasks arrive, after the solo ``add_task`` calls."""
-
-    def __init__(self, stack: SeedStack, solos):
-        super().__init__()
-        self._solos = list(solos)
-        ref = self._solos[0]
-        self.dim = ref.dim
-        self.num_heads = ref.num_heads
-        self.head_dim = ref.head_dim
-        self.seq_len = ref.seq_len
-        self.q_proj = ELinear(stack, [m.q_proj for m in self._solos])
-        self.v_proj = ELinear(stack, [m.v_proj for m in self._solos])
-        self.out_proj = ELinear(stack, [m.out_proj for m in self._solos])
-        self.task_keys: list[ELinear] = []
-        self.task_biases = []
-
-    def adopt_task(self, stack: SeedStack) -> None:
-        task_id = len(self.task_keys)
-        self.task_keys.append(
-            ELinear(stack, [m.task_keys[task_id] for m in self._solos])
-        )
-        self.task_biases.append(
-            stack.adopt([m._task_biases[task_id] for m in self._solos])
-        )
-
-    def _split_heads(self, x: Tensor) -> Tensor:
-        s, b, n, _ = x.shape
-        return x.reshape((s, b, n, self.num_heads, self.head_dim)).transpose(
-            (0, 1, 3, 2, 4)
-        )
-
-    def _merge_heads(self, x: Tensor) -> Tensor:
-        s, b, _h, n, _d = x.shape
-        return x.transpose((0, 1, 3, 2, 4)).reshape((s, b, n, self.dim))
-
-    def forward(self, x: Tensor, task_id: int, context: Tensor | None = None) -> Tensor:
-        context = x if context is None else context
-        q = self._split_heads(self.q_proj(x))
-        k = self._split_heads(self.task_keys[task_id](context))
-        v = self._split_heads(self.v_proj(context))
-        scores = ops.matmul_bt(q, k) * (1.0 / np.sqrt(self.head_dim))
-        bias = self.task_biases[task_id]
-        scores = scores + bias.reshape((x.shape[0], 1, 1, 1, self.seq_len))
-        weights = ops.softmax(scores, axis=-1)
-        attended = ops.matmul(weights, v)
-        return self.out_proj(self._merge_heads(attended))
-
-
-class ECDCLEncoderLayer(Module):
-    """Ensemble mirror of :class:`repro.core.attention.CDCLEncoderLayer`."""
-
-    def __init__(self, stack: SeedStack, solos):
-        super().__init__()
-        solos = list(solos)
-        self.norm1 = ELayerNorm(stack, [m.norm1 for m in solos])
-        self.attn = ETaskConditionedAttention(stack, [m.attn for m in solos])
-        self.norm2 = ELayerNorm(stack, [m.norm2 for m in solos])
-        self.ff = EFeedForward(stack, [m.ff for m in solos])
-
-    def forward(self, x: Tensor, task_id: int, context: Tensor | None = None) -> Tensor:
-        normed_context = self.norm1(context) if context is not None else None
-        x = x + self.attn(self.norm1(x), task_id, normed_context)
-        x = x + self.ff(self.norm2(x))
-        return x
-
-
-class ECDCLEncoder(Module):
-    """Ensemble mirror of :class:`repro.core.attention.CDCLEncoder` —
-    context (if any) feeds layer 0 only, matching the solo stack."""
-
-    def __init__(self, stack: SeedStack, solos):
-        super().__init__()
-        solos = list(solos)
-        self._depth = len(list(solos[0].layers))
-        self._layers = [
-            ECDCLEncoderLayer(stack, [m.layers[i] for m in solos])
-            for i in range(self._depth)
-        ]
-        self.norm = ELayerNorm(stack, [m.norm for m in solos])
-
-    def adopt_task(self, stack: SeedStack) -> None:
-        for layer in self._layers:
-            layer.attn.adopt_task(stack)
-
-    def forward(self, x: Tensor, task_id: int, context: Tensor | None = None) -> Tensor:
-        for i, layer in enumerate(self._layers):
-            x = layer(x, task_id, context if i == 0 else None)
-        return self.norm(x)
 
 
 # ======================================================================
@@ -241,12 +70,14 @@ class _VecStepper:
     * **vectorized** — when every seed's optimizer is a plain
       :class:`~repro.optim.Adam` with identical hyper-parameters and
       every clipped/updated parameter maps onto a stacked slot, the
-      clip scaling and the Adam recurrence run *once* on the stacked
-      ``(S, ...)`` arrays.  Every operation involved is elementwise
-      over the seed axis (scalar-times-array, array-plus-array,
-      ``sqrt``), so each seed's slice sees the exact float sequence
-      the solo optimizer would produce — without the per-seed Python
-      loop over parameters that otherwise dominates small-batch steps.
+      clip scaling runs once on the stacked ``(S, ...)`` arrays and
+      one stacked :class:`~repro.optim.Adam` applies its own
+      ``_update`` to each slot.  Every operation involved is
+      elementwise over the seed axis (scalar-times-array,
+      array-plus-array, ``sqrt``), so each seed's slice sees the exact
+      float sequence the solo optimizer would produce — without the
+      per-seed Python loop over parameters that otherwise dominates
+      small-batch steps.
       Per-seed divergences the solo code allows (a non-finite gradient
       skips that seed's update) demote the affected slot to per-seed
       arithmetic from that step on.
@@ -291,7 +122,14 @@ class _VecStepper:
         self.adam_slots = self._match_slots(
             [list(m.optimizer.params) for m in self.methods]
         )
-        return self.adam_slots is not None
+        if self.adam_slots is None:
+            return False
+        self._adam = Adam(
+            self.adam_slots, lr=opt0.lr, betas=opt0.betas, eps=opt0.eps,
+            weight_decay=opt0.weight_decay,
+        )
+        self._adam.state = self.adam_state
+        return True
 
     def _match_slots(self, param_lists):
         """Stacked parameter per position, or None if any seed's list
@@ -388,16 +226,14 @@ class _VecStepper:
             )
 
     def _adam_vec(self) -> None:
-        """The Adam recurrence applied once to each stacked slot.
+        """:meth:`Adam._update` applied once to each stacked slot.
 
-        Token-for-token the arithmetic of :meth:`Adam._update` with the
-        stacked array in place of the solo one; bias corrections stay
-        Python-float scalars, so every seed's slice sees the identical
-        expression the solo optimizer evaluates.
+        The stacked optimizer's ``state`` is the lift's ``adam_state``;
+        bias corrections stay Python-float scalars, so every seed's
+        slice sees the identical expression the solo optimizer
+        evaluates.
         """
-        opt0 = self.methods[0].optimizer
-        lr, eps, wd = opt0.lr, opt0.eps, opt0.weight_decay
-        beta1, beta2 = opt0.betas
+        self._adam.lr = self.methods[0].optimizer.lr
         for method in self.methods:
             method.optimizer.step_count += 1
         for param in self.adam_slots:
@@ -407,22 +243,11 @@ class _VecStepper:
             state = self.adam_state.setdefault(id(param), {"m": None, "v": None, "t": 0})
             finite = np.isfinite(grad)
             if state.get("skew") is not None or not finite.all():
-                self._adam_slot_skewed(param, grad, state, finite, lr, beta1, beta2, eps, wd)
+                self._adam_slot_skewed(param, grad, state, finite)
                 continue
-            t = state["t"] + 1
-            if wd:
-                grad = grad + wd * param.data
-            m, v = state["m"], state["v"]
-            m = grad * (1 - beta1) if m is None else beta1 * m + (1 - beta1) * grad
-            v = grad**2 * (1 - beta2) if v is None else beta2 * v + (1 - beta2) * grad**2
-            state.update(m=m, v=v, t=t)
-            m_hat = m / (1 - beta1**t)
-            v_hat = v / (1 - beta2**t)
-            param.data -= lr * m_hat / (np.sqrt(v_hat) + eps)
+            self._adam._update(param, grad)
 
-    def _adam_slot_skewed(
-        self, param, grad, state, finite, lr, beta1, beta2, eps, wd
-    ) -> None:
+    def _adam_slot_skewed(self, param, grad, state, finite) -> None:
         """Per-seed Adam for a slot whose seeds diverged.
 
         The solo optimizer skips a seed's update when its gradient is
@@ -431,6 +256,8 @@ class _VecStepper:
         (stacked moment storage, per-seed ``t`` and lazy-init flags)
         and each seed runs the solo recurrence on its slice.
         """
+        lr, eps, wd = self._adam.lr, self._adam.eps, self._adam.weight_decay
+        beta1, beta2 = self._adam.betas
         num_seeds = len(self.methods)
         if state.get("skew") is None:
             if state["m"] is None:
@@ -493,37 +320,32 @@ def _check_lockstep(lengths, what: str) -> int:
 # Baseline lifts: FineTune (fully batched), DER (batched + replay)
 # ======================================================================
 class _BaselineLift:
-    """Batched training/eval mirror of :class:`BaselineTrainer`."""
+    """Batched training/eval of :class:`BaselineTrainer` seeds.
+
+    ``backbone``, ``til_heads`` and ``cil_heads`` are the seed-stacked
+    clones of the solo modules; the head logits are the trainer's own
+    ``til_logits``/``cil_logits``, run on those clones.
+    """
+
+    til_logits = BaselineTrainer.til_logits
+    cil_logits = BaselineTrainer.cil_logits
 
     def __init__(self, methods):
         self.methods = list(methods)
         self.num_seeds = len(self.methods)
         self.stack = SeedStack(self.num_seeds)
-        self.backbone = ECompactTransformer(self.stack, [m.backbone for m in self.methods])
-        self.til_heads: list[ELinear] = []
-        self.cil_heads: list[ELinear] = []
+        self.backbone = self.stack.lift([m.backbone for m in self.methods])
         self._adam_state: dict[int, dict] = {}
 
     # -- heads ---------------------------------------------------------
     def _add_heads(self, num_classes: int) -> None:
         for method in self.methods:
             method._add_heads(num_classes)
-        task_id = len(self.til_heads)
-        self.til_heads.append(
-            ELinear(self.stack, [m.til_heads[task_id] for m in self.methods])
-        )
-        self.cil_heads.append(
-            ELinear(self.stack, [m.cil_heads[task_id] for m in self.methods])
-        )
+        self.til_heads = self.stack.lift([m.til_heads for m in self.methods])
+        self.cil_heads = self.stack.lift([m.cil_heads for m in self.methods])
 
     def class_offset(self, task_id: int) -> int:
         return self.methods[0].class_offset(task_id)
-
-    def cil_logits(self, features: Tensor) -> Tensor:
-        segments = [head(features) for head in self.cil_heads]
-        if len(segments) == 1:
-            return segments[0]
-        return ops.concat(segments, axis=-1)
 
     # -- training ------------------------------------------------------
     def observe_task(self, tasks) -> None:
@@ -551,9 +373,9 @@ class _BaselineLift:
             method.after_task(tasks[i], data[i][0], data[i][1])
 
     def batch_loss_vec(self, task_id: int, xs: np.ndarray, ys: np.ndarray) -> Tensor:
-        """Mirror of ``BaselineTrainer.batch_loss`` (FineTune default)."""
+        """``BaselineTrainer.batch_loss`` (FineTune default), per seed."""
         features = self.backbone(xs)
-        loss = cross_entropy_vec(self.til_heads[task_id](features), ys)
+        loss = cross_entropy_vec(self.til_logits(features, task_id), ys)
         global_labels = ys + self.class_offset(task_id)
         loss = loss + cross_entropy_vec(self.cil_logits(features), global_labels)
         return loss
@@ -587,7 +409,7 @@ class _BaselineLift:
                         if (scenario is Scenario.TIL and task_id is not None)
                         else len(self.til_heads) - 1
                     )
-                    out[scenario] = self.til_heads[tid](feats).data.argmax(axis=-1)
+                    out[scenario] = self.til_logits(feats, tid).data.argmax(axis=-1)
         return out
 
     def evaluate_tasks(self, seen_tasks, scenarios):
@@ -607,12 +429,12 @@ class _BaselineLift:
 
 
 class _DERLift(_BaselineLift):
-    """DER: the baseline mirror plus batched dark-experience replay."""
+    """DER: the baseline lift plus batched dark-experience replay."""
 
     def batch_loss_vec(self, task_id: int, xs: np.ndarray, ys: np.ndarray) -> Tensor:
         features = self.backbone(xs)
         global_labels = ys + self.class_offset(task_id)
-        loss = cross_entropy_vec(self.til_heads[task_id](features), ys)
+        loss = cross_entropy_vec(self.til_logits(features, task_id), ys)
         loss = loss + cross_entropy_vec(self.cil_logits(features), global_labels)
         loss = loss + self._replay_loss_vec()
         # Insert the batch with the logits it currently produces — after
@@ -665,10 +487,11 @@ class _DERLift(_BaselineLift):
 # CDCL lift: batched warm-up, lockstep solo adaptation/rehearsal/eval
 # ======================================================================
 class _CDCLLift:
-    """Hybrid CDCL mirror.
+    """Hybrid CDCL lift.
 
     Warm-up epochs (self-attention, source-only supervision) run
-    batched; pair building, adaptation, rehearsal, memory storage and
+    batched on the seed-stacked clone of the solo ``CDCLNetwork``;
+    pair building, adaptation, rehearsal, memory storage and
     evaluation run the unmodified solo code per seed — on parameters
     that are views of the stacked storage, so the two phases interleave
     freely and stay bitwise-faithful.
@@ -678,24 +501,6 @@ class _CDCLLift:
         self.methods = list(methods)
         self.num_seeds = len(self.methods)
         self.stack = SeedStack(self.num_seeds)
-        networks = [m.network for m in self.methods]
-        self.tokenizer = EConvTokenizer(self.stack, [n.tokenizer for n in networks])
-        self.encoder = ECDCLEncoder(self.stack, [n.encoder for n in networks])
-        self.pool = ESequencePool(self.stack, [n.pool for n in networks])
-        self.til_heads: list[ELinear] = []
-        self.cil_heads: list[ELinear] = []
-
-    def features_vec(self, xs, task_id: int) -> Tensor:
-        x = xs if isinstance(xs, Tensor) else Tensor(np.asarray(xs))
-        tokens = self.tokenizer(x)
-        encoded = self.encoder(tokens, task_id, None)
-        return self.pool(encoded)
-
-    def cil_logits(self, features: Tensor) -> Tensor:
-        segments = [head(features) for head in self.cil_heads]
-        if len(segments) == 1:
-            return segments[0]
-        return ops.concat(segments, axis=-1)
 
     def observe_task(self, tasks) -> None:
         from repro.core.trainer import TaskLog
@@ -718,15 +523,9 @@ class _CDCLLift:
                     min_lr=config.min_lr,
                 )
             )
-        self.encoder.adopt_task(self.stack)
-        self.til_heads.append(
-            ELinear(self.stack, [m.network.til_heads[task_id] for m in self.methods])
-        )
-        self.cil_heads.append(
-            ELinear(self.stack, [m.network.cil_heads[task_id] for m in self.methods])
-        )
-        # add_task froze every earlier task's (K_i, b_i); propagate.
-        self.stack.sync_flags()
+        # Re-lift: adopts the new task's (K_i, b_i) and heads, and
+        # propagates add_task's freeze of every earlier (K_i, b_i).
+        self.network = self.stack.lift([m.network for m in self.methods])
 
         config = self.methods[0].config
         # AdamW + mid-task solo phases keep this on the per-seed path
@@ -771,7 +570,7 @@ class _CDCLLift:
             )
 
     def _warmup_epoch_vec(self, task_id: int, task, source, stepper) -> list[float]:
-        """Mirror of ``_run_warmup_epoch`` across the ensemble."""
+        """``_run_warmup_epoch`` across the ensemble."""
         config = self.methods[0].config
         n = _check_lockstep([len(x) for x, _y in source], "source-set sizes")
         index_lists = [m._minibatch_indices(n) for m in self.methods]
@@ -785,12 +584,12 @@ class _CDCLLift:
                 [y[index_lists[i][batch]] for i, (_x, y) in enumerate(source)]
             )
             with telemetry.phase("forward"):
-                feats = self.features_vec(xs, task_id)
+                feats = self.network.features(xs, task_id)
                 loss = Tensor(0.0)
                 if config.use_cil_loss:
-                    loss = loss + cross_entropy_vec(self.cil_logits(feats), ys + offset)
+                    loss = loss + cross_entropy_vec(self.network.cil_logits(feats), ys + offset)
                 if config.use_til_loss:
-                    loss = loss + cross_entropy_vec(self.til_heads[task_id](feats), ys)
+                    loss = loss + cross_entropy_vec(self.network.til_logits(feats, task_id), ys)
             values = stepper.step(loss)
             for i in range(self.num_seeds):
                 losses[i].append(values[i])
@@ -824,8 +623,9 @@ def liftable(spec: RunSpec) -> bool:
     """True when ``spec`` can run on the ensemble axis.
 
     The lift covers FineTune, DER and CDCL; CDCL additionally requires
-    dropout disabled (the mirrors carry no dropout RNG stream — the
-    default in every profile-built config).
+    dropout disabled (a lifted clone would draw one dropout mask from one
+    generator instead of S per-seed streams — dropout is off in every
+    profile-built config).
     """
     if spec.method not in _LIFTS:
         return False

@@ -16,13 +16,29 @@ from repro.nn.linear import Linear
 from repro.nn.module import Module
 from repro.utils import resolve_rng
 
-__all__ = ["MultiHeadSelfAttention", "scaled_dot_product_attention"]
+__all__ = [
+    "MultiHeadSelfAttention",
+    "scaled_dot_product_attention",
+    "split_heads",
+    "merge_heads",
+]
+
+
+def split_heads(x: Tensor, num_heads: int) -> Tensor:
+    """``(..., n, dim)`` -> ``(..., heads, n, head_dim)``."""
+    return x.reshape(x.shape[:-1] + (num_heads, x.shape[-1] // num_heads)).swapaxes(-2, -3)
+
+
+def merge_heads(x: Tensor) -> Tensor:
+    """``(..., heads, n, head_dim)`` -> ``(..., n, dim)``."""
+    x = x.swapaxes(-2, -3)
+    return x.reshape(x.shape[:-2] + (x.shape[-2] * x.shape[-1],))
 
 
 def scaled_dot_product_attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
     """Attention(Q, K, V) = softmax(QK^T / sqrt(d)) V.
 
-    Inputs are (batch, heads, seq, head_dim).
+    Inputs are (..., heads, seq, head_dim).
     """
     d = q.shape[-1]
     # matmul_bt consumes K's transpose as a BLAS stride flag — no
@@ -36,7 +52,9 @@ class MultiHeadSelfAttention(Module):
     """Multi-head attention with fused QKV projection.
 
     Supports cross-attention by passing a separate ``context`` sequence:
-    queries come from ``x``, keys/values from ``context``.
+    queries come from ``x``, keys/values from ``context``.  Sequences
+    are ``(..., n, dim)``: any leading axes (a seed axis included) pass
+    through.
     """
 
     def __init__(self, dim: int, num_heads: int, dropout: float = 0.0, rng=None):
@@ -53,21 +71,13 @@ class MultiHeadSelfAttention(Module):
         self.out_proj = Linear(dim, dim, rng=rng)
         self.dropout = Dropout(dropout, rng=rng)
 
-    def _split_heads(self, x: Tensor) -> Tensor:
-        b, n, _ = x.shape
-        return x.reshape((b, n, self.num_heads, self.head_dim)).transpose((0, 2, 1, 3))
-
-    def _merge_heads(self, x: Tensor) -> Tensor:
-        b, _h, n, _d = x.shape
-        return x.transpose((0, 2, 1, 3)).reshape((b, n, self.dim))
-
     def forward(self, x: Tensor, context: Tensor | None = None) -> Tensor:
         context = x if context is None else context
-        q = self._split_heads(self.q_proj(x))
-        k = self._split_heads(self.k_proj(context))
-        v = self._split_heads(self.v_proj(context))
+        q = split_heads(self.q_proj(x), self.num_heads)
+        k = split_heads(self.k_proj(context), self.num_heads)
+        v = split_heads(self.v_proj(context), self.num_heads)
         attended = scaled_dot_product_attention(q, k, v)
-        return self.dropout(self.out_proj(self._merge_heads(attended)))
+        return self.dropout(self.out_proj(merge_heads(attended)))
 
     def __repr__(self) -> str:
         return f"MultiHeadSelfAttention(dim={self.dim}, heads={self.num_heads})"

@@ -9,6 +9,15 @@ ensemble axis so one forward/backward advances every seed at once
 (SNIPPETS-style batched-tensor design: once the weights are stacked,
 leading dims flow through ``matmul``/``conv2d`` for free).
 
+There is one model definition.  Every layer the lifted methods use is
+rank-generic over leading axes: a parameter with extra leading axes
+lines up with the input's leading axes (``Linear``, ``LayerNorm``,
+the attention biases), and head split/merge, tokenizer flatten and
+pooling address trailing axes only.  :meth:`SeedStack.lift` therefore
+turns S solo models into one *clone* of the solo model whose
+parameters are the stacked ones; calling the clone runs the solo
+forward code over the seed axis.
+
 Equivalence contract
 --------------------
 The lift is *transparent*: seed ``i``'s slice of every stacked
@@ -20,41 +29,30 @@ properties carry that guarantee:
   ``np.stack`` of the solo parameters and rebinds every solo
   ``param.data`` to the corresponding axis-0 *view*, so solo optimizer
   steps and the batched forward read/write the same memory;
-* **kernels** — every mirrored forward uses ops whose batched form is
+* **kernels** — the solo forwards use ops whose batched form is
   slicewise bitwise-equal to the solo form (batched BLAS ``matmul``
   / ``matmul_bt``, the 5-D ensemble ``conv2d``/pool path, trailing-axis
   reductions, elementwise ops);
-* **stepping** — the engine-side lift runs the *real* per-seed
-  optimizer/clipping code on gradient views of the stacked ``grad``,
-  so update arithmetic is the solo code itself, not a reimplementation.
+* **stepping** — the engine-side lift runs the solo optimizer code
+  (per seed on gradient views, or ``Adam._update`` once on the stacked
+  slots), so update arithmetic is the solo code itself.
 
-Mirrors cover the layers the lifted methods use (Linear, LayerNorm,
-MHSA, FeedForward, transformer encoder blocks, Conv2d).  Dropout is
-deliberately absent: the lifted configurations all run ``p == 0`` (a
-no-op in the solo models), and the engine refuses to lift a spec whose
+Dropout is the one layer whose lift would differ (the clone would draw
+one mask from one generator); the lifted configurations all run
+``p == 0`` (a no-op), and the engine refuses to lift a spec whose
 config enables dropout.
 """
 
 from __future__ import annotations
 
+import copy
+
 import numpy as np
 
-from repro.autograd import Tensor, conv2d, ops
-from repro.nn.activation import GELU
+from repro.autograd import Tensor, ops
 from repro.nn.module import Module, Parameter
 
-__all__ = [
-    "SeedStack",
-    "cross_entropy_vec",
-    "stack_arrays",
-    "ELinear",
-    "ELayerNorm",
-    "EMultiHeadSelfAttention",
-    "EFeedForward",
-    "ETransformerEncoderLayer",
-    "ETransformerEncoder",
-    "EConv2d",
-]
+__all__ = ["SeedStack", "cross_entropy_vec"]
 
 
 class SeedStack:
@@ -64,7 +62,8 @@ class SeedStack:
     solo arrays into an ``(S, ...)`` :class:`Parameter` and rebinds each
     solo ``param.data`` to the matching axis-0 view (contiguous for
     C-ordered storage).  From then on the batched forward reads — and
-    the solo optimizers write — the same memory.
+    the solo optimizers write — the same memory.  ``lift`` adopts a
+    whole module tree and returns its seed-stacked clone.
     """
 
     def __init__(self, num_seeds: int):
@@ -86,12 +85,44 @@ class SeedStack:
         # Parameter construction may re-cast through the policy dtype;
         # rebind to the exact stacked array so slices stay bitwise.
         stacked.data = data
+        stacked.requires_grad = any(p.requires_grad for p in params)
         for i, param in enumerate(params):
             param.data = data[i]
             self._by_id[id(param)] = (stacked, i)
         self.entries.append((stacked, params))
-        self.sync_flags()
         return stacked
+
+    def lift(self, solos) -> Module:
+        """One module running the S solo ``solos`` over the seed axis.
+
+        Every named parameter is adopted across the solos — or, if this
+        stack adopted it before, its stacked parameter is reused, so
+        optimizer state keyed by the stacked parameter and the solo
+        views survive a re-lift (call again after a solo grows new
+        parameters, e.g. per-task heads).  The result is a deep copy of
+        ``solos[0]`` whose parameters are the stacked ones.
+        """
+        solos = list(solos)
+        if len(solos) != self.num_seeds:
+            raise ValueError(f"expected {self.num_seeds} solo modules, got {len(solos)}")
+        named = [list(solo.named_parameters()) for solo in solos]
+        layout = [(name, param.shape) for name, param in named[0]]
+        for i, params in enumerate(named[1:], start=1):
+            if [(name, param.shape) for name, param in params] != layout:
+                raise ValueError(
+                    f"solo {i} differs from solo 0 in parameter names or shapes; "
+                    "only identical architectures lift"
+                )
+        memo = {}
+        for position, (_name, param) in enumerate(named[0]):
+            slot = self.slot(param)
+            if slot is None:
+                stacked = self.adopt([params[position][1] for params in named])
+            else:
+                stacked = slot[0]
+            memo[id(param)] = stacked
+        self.sync_flags()
+        return copy.deepcopy(solos[0], memo)
 
     def slot(self, solo_param) -> tuple[Parameter, int] | None:
         """(stacked parameter, seed index) for an adopted solo param."""
@@ -106,11 +137,6 @@ class SeedStack:
     def zero_grad(self) -> None:
         for stacked, _solos in self.entries:
             stacked.grad = None
-
-
-def stack_arrays(arrays) -> np.ndarray:
-    """``np.stack`` of per-seed batches — the data-side ensemble fold."""
-    return np.stack([np.asarray(a) for a in arrays])
 
 
 def cross_entropy_vec(logits: Tensor, labels: np.ndarray) -> Tensor:
@@ -140,202 +166,3 @@ def cross_entropy_vec(logits: Tensor, labels: np.ndarray) -> Tensor:
         log_probs, (np.arange(s)[:, None], np.arange(b)[None, :], labels)
     )
     return (-picked).mean(axis=-1)
-
-
-def _lead_ones(count: int) -> tuple[int, ...]:
-    return (1,) * count
-
-
-class ELinear(Module):
-    """Ensemble mirror of :class:`repro.nn.Linear`.
-
-    Weights are ``(S, out, in)``; inputs carry a leading seed axis
-    (``(S, B, in)`` or higher rank).  The contraction is one batched
-    GEMM whose seed slices match the solo ``x @ W.T`` calls bitwise.
-    """
-
-    def __init__(self, stack: SeedStack, solos):
-        super().__init__()
-        solos = list(solos)
-        ref = solos[0]
-        self.in_features = ref.in_features
-        self.out_features = ref.out_features
-        self.weight = stack.adopt([m.weight for m in solos])
-        if ref.bias is not None:
-            self.bias = stack.adopt([m.bias for m in solos])
-        else:
-            self.bias = None
-
-    def forward(self, x: Tensor) -> Tensor:
-        w_t = self.weight.transpose((0, 2, 1))  # (S, in, out)
-        if x.ndim > 3:
-            # Align the seed axis for matmul broadcasting over the
-            # extra batch dims between S and the matrix axes.
-            w_t = w_t.reshape(
-                (x.shape[0],) + _lead_ones(x.ndim - 3) + (self.in_features, self.out_features)
-            )
-        out = ops.matmul(x, w_t)
-        if self.bias is not None:
-            bias = self.bias.reshape(
-                (x.shape[0],) + _lead_ones(out.ndim - 2) + (self.out_features,)
-            )
-            out = out + bias
-        return out
-
-    def __repr__(self) -> str:
-        return (
-            f"ELinear(in={self.in_features}, out={self.out_features}, "
-            f"bias={self.bias is not None})"
-        )
-
-
-class ELayerNorm(Module):
-    """Ensemble mirror of :class:`repro.nn.LayerNorm` — the statistics
-    reduce over trailing axes only, so the math is the solo forward
-    verbatim; only the affine terms need seed-axis alignment."""
-
-    def __init__(self, stack: SeedStack, solos):
-        super().__init__()
-        solos = list(solos)
-        ref = solos[0]
-        self.normalized_shape = ref.normalized_shape
-        self.eps = ref.eps
-        self.weight = stack.adopt([m.weight for m in solos])
-        self.bias = stack.adopt([m.bias for m in solos])
-
-    def forward(self, x: Tensor) -> Tensor:
-        shape = self.normalized_shape
-        axes = tuple(range(x.ndim - len(shape), x.ndim))
-        mu = x.mean(axis=axes, keepdims=True)
-        centered = x - mu
-        variance = (centered * centered).mean(axis=axes, keepdims=True)
-        normalized = centered / (variance + self.eps).sqrt()
-        lead = (x.shape[0],) + _lead_ones(x.ndim - 1 - len(shape))
-        return normalized * self.weight.reshape(lead + shape) + self.bias.reshape(
-            lead + shape
-        )
-
-    def __repr__(self) -> str:
-        return f"ELayerNorm({self.normalized_shape}, eps={self.eps})"
-
-
-class EMultiHeadSelfAttention(Module):
-    """Ensemble mirror of :class:`repro.nn.MultiHeadSelfAttention`.
-
-    Sequences are ``(S, B, N, dim)``; heads split to ``(S, B, H, N,
-    dh)`` and the score/value matmuls batch over ``(S, B, H)``.  The
-    solo dropout is ``p == 0`` in every lifted config, so no dropout
-    module (and no RNG draw) appears here.
-    """
-
-    def __init__(self, stack: SeedStack, solos):
-        super().__init__()
-        solos = list(solos)
-        ref = solos[0]
-        self.dim = ref.dim
-        self.num_heads = ref.num_heads
-        self.head_dim = ref.head_dim
-        self.q_proj = ELinear(stack, [m.q_proj for m in solos])
-        self.k_proj = ELinear(stack, [m.k_proj for m in solos])
-        self.v_proj = ELinear(stack, [m.v_proj for m in solos])
-        self.out_proj = ELinear(stack, [m.out_proj for m in solos])
-
-    def _split_heads(self, x: Tensor) -> Tensor:
-        s, b, n, _ = x.shape
-        return x.reshape((s, b, n, self.num_heads, self.head_dim)).transpose(
-            (0, 1, 3, 2, 4)
-        )
-
-    def _merge_heads(self, x: Tensor) -> Tensor:
-        s, b, _h, n, _d = x.shape
-        return x.transpose((0, 1, 3, 2, 4)).reshape((s, b, n, self.dim))
-
-    def forward(self, x: Tensor, context: Tensor | None = None) -> Tensor:
-        context = x if context is None else context
-        q = self._split_heads(self.q_proj(x))
-        k = self._split_heads(self.k_proj(context))
-        v = self._split_heads(self.v_proj(context))
-        d = q.shape[-1]
-        scores = ops.matmul_bt(q, k) * (1.0 / np.sqrt(d))
-        weights = ops.softmax(scores, axis=-1)
-        attended = ops.matmul(weights, v)
-        return self.out_proj(self._merge_heads(attended))
-
-    def __repr__(self) -> str:
-        return f"EMultiHeadSelfAttention(dim={self.dim}, heads={self.num_heads})"
-
-
-class EFeedForward(Module):
-    """Ensemble mirror of :class:`repro.nn.FeedForward` (Linear → GELU
-    → Linear; the solo dropouts are ``p == 0`` no-ops)."""
-
-    def __init__(self, stack: SeedStack, solos):
-        super().__init__()
-        solos = list(solos)
-        self.fc1 = ELinear(stack, [m.net[0] for m in solos])
-        self.act = GELU()
-        self.fc2 = ELinear(stack, [m.net[3] for m in solos])
-
-    def forward(self, x: Tensor) -> Tensor:
-        return self.fc2(self.act(self.fc1(x)))
-
-
-class ETransformerEncoderLayer(Module):
-    """Ensemble mirror of :class:`repro.nn.TransformerEncoderLayer`."""
-
-    def __init__(self, stack: SeedStack, solos):
-        super().__init__()
-        solos = list(solos)
-        self.norm1 = ELayerNorm(stack, [m.norm1 for m in solos])
-        self.attn = EMultiHeadSelfAttention(stack, [m.attn for m in solos])
-        self.norm2 = ELayerNorm(stack, [m.norm2 for m in solos])
-        self.ff = EFeedForward(stack, [m.ff for m in solos])
-
-    def forward(self, x: Tensor, context: Tensor | None = None) -> Tensor:
-        normed_context = self.norm1(context) if context is not None else None
-        x = x + self.attn(self.norm1(x), normed_context)
-        x = x + self.ff(self.norm2(x))
-        return x
-
-
-class ETransformerEncoder(Module):
-    """Ensemble mirror of :class:`repro.nn.TransformerEncoder` — the
-    solo stack hands ``context`` to *every* layer; the mirror must too."""
-
-    def __init__(self, stack: SeedStack, solos):
-        super().__init__()
-        solos = list(solos)
-        depth = len(solos[0].layers)
-        for i in range(depth):
-            self.add_module(
-                f"layer{i}",
-                ETransformerEncoderLayer(stack, [m.layers[i] for m in solos]),
-            )
-        self._depth = depth
-        self.norm = ELayerNorm(stack, [m.norm for m in solos])
-
-    def forward(self, x: Tensor, context: Tensor | None = None) -> Tensor:
-        for i in range(self._depth):
-            x = self._modules[f"layer{i}"](x, context)
-        return self.norm(x)
-
-
-class EConv2d(Module):
-    """Ensemble mirror of :class:`repro.nn.Conv2d`: per-seed filters
-    ``(S, C_out, C_in, kh, kw)`` against ``(S, N, C_in, H, W)`` inputs
-    through the kernel-level 5-D ensemble convolution."""
-
-    def __init__(self, stack: SeedStack, solos):
-        super().__init__()
-        solos = list(solos)
-        ref = solos[0]
-        self.stride = ref.stride
-        self.padding = ref.padding
-        self.weight = stack.adopt([m.weight for m in solos])
-        if ref.bias is not None:
-            self.bias = stack.adopt([m.bias for m in solos])
-        else:
-            self.bias = None
-
-    def forward(self, x: Tensor) -> Tensor:
-        return conv2d(x, self.weight, self.bias, stride=self.stride, padding=self.padding)

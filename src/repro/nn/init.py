@@ -26,7 +26,6 @@ __all__ = [
     "kaiming_uniform",
     "kaiming_normal",
     "trunc_normal",
-    "stacked",
 ]
 
 
@@ -99,14 +98,3 @@ def trunc_normal(shape, std: float = 0.02, limit: float = 2.0, rng=None) -> np.n
     standard transformer token/positional init."""
     samples = resolve_rng(rng).normal(0.0, std, size=shape)
     return _as_policy(np.clip(samples, -limit * std, limit * std))
-
-
-def stacked(initializer, shape, rngs, **kwargs) -> np.ndarray:
-    """Seed-stacked init: one ``initializer(shape, rng=r)`` draw per
-    generator in ``rngs``, stacked along a new leading ensemble axis.
-
-    Slice ``i`` of the result is *bitwise-identical* to the array a solo
-    model built with ``rngs[i]`` would hold — each seed consumes its own
-    generator in isolation, so stacking changes layout, never values.
-    """
-    return np.stack([initializer(shape, rng=rng, **kwargs) for rng in rngs])

@@ -6,7 +6,7 @@ import numpy as np
 
 from repro.autograd import Tensor, ops
 from repro.nn import init
-from repro.nn.module import Module, Parameter
+from repro.nn.module import Module, Parameter, _lead_aligned
 from repro.utils import resolve_rng
 
 __all__ = ["Linear", "Bilinear"]
@@ -23,6 +23,9 @@ class Linear(Module):
         Include an additive bias term (default True).
     rng:
         Seed or generator for weight init.
+
+    A seed-stacked layer (``(S, out, in)`` weight, ``(S, out)`` bias)
+    maps ``(S, ..., in)`` inputs seed-slice by seed-slice.
     """
 
     def __init__(self, in_features: int, out_features: int, bias: bool = True, rng=None):
@@ -38,9 +41,9 @@ class Linear(Module):
             self.bias = None
 
     def forward(self, x: Tensor) -> Tensor:
-        out = ops.matmul(x, self.weight.T)
+        out = ops.matmul(x, _lead_aligned(self.weight.swapaxes(-1, -2), 2, x.ndim))
         if self.bias is not None:
-            out = out + self.bias
+            out = out + _lead_aligned(self.bias, 1, out.ndim)
         return out
 
     def __repr__(self) -> str:

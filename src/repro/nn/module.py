@@ -18,6 +18,23 @@ from repro.autograd import Tensor
 __all__ = ["Parameter", "Module"]
 
 
+def _lead_aligned(param: Tensor, core_ndim: int, ndim: int) -> Tensor:
+    """``param`` shaped to broadcast against a rank-``ndim`` operand.
+
+    A solo parameter (rank ``core_ndim``) is returned unchanged.  One
+    with extra leading axes ``lead`` — a seed-stacked ``(S, ...)``
+    parameter — becomes ``lead + (1,) * k + core``, so its leading axes
+    meet the operand's leading axes and the ``k`` batch axes between
+    them broadcast.
+    """
+    lead_ndim = param.ndim - core_ndim
+    k = ndim - param.ndim
+    if lead_ndim == 0 or k == 0:
+        return param
+    shape = param.shape
+    return param.reshape(shape[:lead_ndim] + (1,) * k + shape[lead_ndim:])
+
+
 class Parameter(Tensor):
     """A trainable tensor.
 

@@ -6,13 +6,18 @@ import numpy as np
 
 from repro.autograd import Tensor
 from repro.nn import init
-from repro.nn.module import Module, Parameter
+from repro.nn.module import Module, Parameter, _lead_aligned
 
 __all__ = ["LayerNorm", "BatchNorm1d"]
 
 
 class LayerNorm(Module):
-    """Layer normalization over the trailing feature dimension(s)."""
+    """Layer normalization over the trailing feature dimension(s).
+
+    The statistics reduce over trailing axes only, so seed-stacked
+    affine terms (``(S,) + normalized_shape``) need only lead-axis
+    alignment.
+    """
 
     def __init__(self, normalized_shape, eps: float = 1e-5):
         super().__init__()
@@ -29,7 +34,10 @@ class LayerNorm(Module):
         centered = x - mu
         variance = (centered * centered).mean(axis=axes, keepdims=True)
         normalized = centered / (variance + self.eps).sqrt()
-        return normalized * self.weight + self.bias
+        core = len(self.normalized_shape)
+        return normalized * _lead_aligned(self.weight, core, x.ndim) + _lead_aligned(
+            self.bias, core, x.ndim
+        )
 
     def __repr__(self) -> str:
         return f"LayerNorm({self.normalized_shape}, eps={self.eps})"

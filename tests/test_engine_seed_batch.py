@@ -10,22 +10,35 @@ Contract (DESIGN.md "Ensemble axis"):
 * duplicate seeds are rejected on every multi-seed entry point;
 * unliftable methods fall back to the classic path transparently
   (`run_seed_cells`) or refuse loudly (`run_seed_batch` direct);
-* the 5-D kernels match the solo kernels bitwise at both dtypes.
+* the 5-D kernels match the solo kernels bitwise at both dtypes;
+* the solo layers take a leading seed axis: slice ``i`` of a
+  ``SeedStack.lift`` clone's output and parameter grads equals solo
+  ``i``'s, bitwise at float64.
 """
+
+import copy
+from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from dataclasses import replace
 
 from repro.api import Session
-from repro.autograd import Tensor
+from repro.autograd import Tensor, default_dtype
 from repro.autograd.conv import avg_pool2d, conv2d, max_pool2d
+from repro.baselines.backbone import BackboneConfig, CompactTransformer
 from repro.continual import Scenario
+from repro.core.config import CDCLConfig
+from repro.core.network import CDCLNetwork
+from repro.core.pooling import SequencePool
+from repro.core.tokenizer import ConvTokenizer
 from repro.data.synthetic import mnist_usps
 from repro.engine.executor import derive_seeds, run_seed_cells, run_seed_sweep
 from repro.engine.registry import SCENARIOS, register_scenario
 from repro.engine.runner import RunSpec, run_one
-from repro.engine.seed_batch import liftable, lifted_methods, run_seed_batch
+from repro.engine.seed_batch import _VecStepper, liftable, lifted_methods, run_seed_batch
+from repro.nn import LayerNorm, Linear, MultiHeadSelfAttention, SeedStack, TransformerEncoder
+from repro.optim import Adam, clip_grad_norm
 
 #: float64 keeps every comparison exact; 2 tasks and 2 epochs keep the
 #: training cheap while still crossing a task boundary (optimizer state
@@ -245,6 +258,139 @@ class TestEnsembleKernels:
         w = Tensor(np.zeros((2, 5, 4, 3, 3)))
         with pytest.raises(ValueError, match="seeds"):
             conv2d(x, w)
+
+
+def _randomized(module, seed: int):
+    """``module`` with every parameter redrawn, so no two seeds (and no
+    ones/zeros LayerNorm init) coincide."""
+    rng = np.random.default_rng(100 + seed)
+    for param in module.parameters():
+        param.data = rng.normal(size=param.shape)
+    return module
+
+
+class TestSeedAxis:
+    """Slice ``i`` of ``SeedStack.lift(solos)(x)`` == ``solos[i](x[i])``,
+    outputs and parameter grads, bitwise at float64."""
+
+    S = 3
+
+    def assert_lift_matches(self, build, shapes, call=lambda m, *xs: m(*xs), solos=None):
+        with default_dtype("float64"):
+            if solos is None:
+                solos = [_randomized(build(seed), seed) for seed in range(self.S)]
+            clone = SeedStack(self.S).lift(solos)
+            rng = np.random.default_rng(0)
+            inputs = [rng.normal(size=(self.S,) + shape) for shape in shapes]
+            out = call(clone, *[Tensor(x) for x in inputs])
+            upstream = rng.normal(size=out.shape)
+            out.backward(upstream)
+            stacked = list(clone.named_parameters())
+            assert any(p.grad is not None for _name, p in stacked)
+            for i, solo in enumerate(solos):
+                ref = call(solo, *[Tensor(x[i]) for x in inputs])
+                ref.backward(upstream[i])
+                np.testing.assert_array_equal(out.data[i], ref.data)
+                for (name, big), (_name, param) in zip(stacked, solo.named_parameters()):
+                    if big.grad is None:
+                        assert param.grad is None, name
+                    else:
+                        np.testing.assert_array_equal(big.grad[i], param.grad, err_msg=name)
+        return clone
+
+    def test_linear(self):
+        self.assert_lift_matches(lambda seed: Linear(5, 4, rng=seed), [(2, 3, 5)])
+
+    def test_layer_norm(self):
+        self.assert_lift_matches(lambda seed: LayerNorm(6), [(2, 4, 6)])
+
+    def test_self_attention(self):
+        self.assert_lift_matches(
+            lambda seed: MultiHeadSelfAttention(8, 2, rng=seed), [(2, 5, 8)]
+        )
+
+    def test_cross_attention(self):
+        self.assert_lift_matches(
+            lambda seed: MultiHeadSelfAttention(8, 2, rng=seed), [(2, 5, 8), (2, 7, 8)]
+        )
+
+    def test_transformer_encoder(self):
+        self.assert_lift_matches(
+            lambda seed: TransformerEncoder(8, 2, 2, rng=seed), [(2, 5, 8)]
+        )
+
+    def test_conv_tokenizer(self):
+        self.assert_lift_matches(
+            lambda seed: ConvTokenizer(2, 4, image_size=8, rng=seed), [(2, 2, 8, 8)]
+        )
+
+    def test_sequence_pool(self):
+        self.assert_lift_matches(lambda seed: SequencePool(8, rng=seed), [(2, 5, 8)])
+
+    def test_compact_transformer(self):
+        self.assert_lift_matches(
+            lambda seed: CompactTransformer(BackboneConfig.fast(), 1, 8, rng=seed),
+            [(2, 1, 8, 8)],
+        )
+
+    @pytest.mark.parametrize("cross", [False, True])
+    def test_cdcl_features_after_two_tasks(self, cross):
+        with default_dtype("float64"):
+            solos = []
+            for seed in range(self.S):
+                network = CDCLNetwork(CDCLConfig.fast(depth=2), 1, 8, rng=seed)
+                network.add_task(2)
+                solos.append(_randomized(network, seed))
+            stack = SeedStack(self.S)
+            first = stack.lift(solos)
+            for seed, network in enumerate(solos):
+                network.add_task(2)
+            clone = stack.lift(solos)
+        # A re-lift reuses the stacked parameters it already adopted.
+        assert clone.tokenizer.blocks[0].weight is first.tokenizer.blocks[0].weight
+        keys = [layer.attn.task_keys for layer in clone.encoder.layers]
+        assert all(not k[0].weight.requires_grad and k[1].weight.requires_grad for k in keys)
+        assert not clone.encoder.layers[0].attn.task_bias_0.requires_grad
+
+        def features(net, x, *context):
+            return net.features(x, 1, *context)
+
+        shapes = [(2, 1, 8, 8), (2, 1, 8, 8)] if cross else [(2, 1, 8, 8)]
+        self.assert_lift_matches(None, shapes, features, solos=solos)
+
+    def test_mismatched_shapes_rejected(self):
+        with pytest.raises(ValueError, match="names or shapes"):
+            SeedStack(2).lift([Linear(4, 3, rng=0), Linear(4, 5, rng=1)])
+
+
+class TestVecStepper:
+    """The stacked Adam step equals S solo Adam steps, bitwise, through
+    a seed whose gradient goes non-finite (the skewed per-seed path)."""
+
+    def test_matches_solo_adam_through_skew(self):
+        with default_dtype("float64"), np.errstate(invalid="ignore"):
+            solos = [Linear(4, 3, rng=seed) for seed in range(2)]
+            refs = [copy.deepcopy(solo) for solo in solos]
+            stack = SeedStack(2)
+            clone = stack.lift(solos)
+            methods = [SimpleNamespace(optimizer=Adam(m.parameters(), lr=0.01)) for m in solos]
+            stepper = _VecStepper(stack, methods, lambda m: m.optimizer.params, 1.0)
+            assert stepper.vectorized
+            ref_opts = [Adam(ref.parameters(), lr=0.01) for ref in refs]
+            rng = np.random.default_rng(0)
+            for step in range(4):
+                x = rng.normal(size=(2, 5, 4))
+                if step == 2:
+                    x[1, 0, 0] = np.inf
+                stepper.step(clone(Tensor(x)).sum(axis=(-1, -2)))
+                for i, (ref, opt) in enumerate(zip(refs, ref_opts)):
+                    opt.zero_grad()
+                    ref(Tensor(x[i])).sum().backward()
+                    clip_grad_norm(ref.parameters(), 1.0)
+                    opt.step()
+                    np.testing.assert_array_equal(clone.weight.data[i], ref.weight.data)
+                    np.testing.assert_array_equal(clone.bias.data[i], ref.bias.data)
+            assert any("skew" in state for state in stepper.adam_state.values())
 
 
 class TestSessionRouting:
